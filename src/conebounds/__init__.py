@@ -16,7 +16,8 @@ from .gauge import (BoundResult, MagneticField, TransverseGauge,
                     brute_force_gauge, e_constant, full_gauge,
                     min_transverse_norm_sq, optimal_transverse_gauge,
                     rayleigh_upper_bounds, reference_asymptotics)
-from .geometry import (Disc, Moments, Polygon, Section, centroid, disc_moments,
+from .geometry import (Disc, Moments, Polygon, Section, centroid,
+                       cone_edge_openings, cone_faces, disc_moments,
                        interior_angle, moments, polygon_moments, project_P,
                        projection_jacobian, scale_section, section_from_json,
                        section_quadrature, section_to_json,
@@ -43,7 +44,8 @@ __all__ = [
     "e_constant", "full_gauge", "min_transverse_norm_sq",
     "optimal_transverse_gauge", "rayleigh_upper_bounds",
     "reference_asymptotics",
-    "Disc", "Moments", "Polygon", "Section", "centroid", "disc_moments",
+    "Disc", "Moments", "Polygon", "Section", "centroid", "cone_edge_openings",
+    "cone_faces", "disc_moments",
     "interior_angle", "moments", "polygon_moments", "project_P",
     "projection_jacobian", "scale_section", "section_from_json",
     "section_quadrature", "section_to_json", "spherical_vertex_opening",

@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Every command prints one JSON report to stdout: the echoed configuration,
-the result payload, the library version, the seed, any accuracy warnings
-raised while computing, and wall time (kept in a separate envelope field so
-that reports are otherwise byte-identical between runs of the same
-configuration).  Floating point numbers are serialized with 17 significant
-digits so they round-trip exactly; non-finite values appear as the strings
-"inf", "-inf", "nan".
+the result payload, the library version, any accuracy warnings raised
+while computing, and wall time (kept in a separate envelope field so that
+reports are otherwise byte-identical between runs of the same
+configuration).  Neither the report nor its config has a ``seed`` field,
+and there is no ``--seed`` option: nothing in the package is random.
+Floating point numbers are serialized with 17 significant digits so they
+round-trip exactly; non-finite values appear as the strings "inf", "-inf",
+"nan".
 
 Exit codes: 0 success, 2 parse or usage errors, 3 domain errors
 (inadmissible geometry or parameters), 4 accuracy failures (hard accuracy
@@ -39,9 +41,6 @@ from .models import (concentration_threshold, essential_spectrum_limit,
 from .robin import (BoundaryProfile, robin_cone_upper_bound,
                     robin_model_energy, robin_scaling_exponent)
 
-DEFAULT_SEED = 20260815
-
-
 @dataclass
 class RunConfig:
     """Everything a run needs; round-trips through ``to_dict``/``from_dict``."""
@@ -63,7 +62,6 @@ class RunConfig:
     eps: float | None = None
     quantity: str | None = None
     csv_path: str | None = None
-    seed: int = DEFAULT_SEED
     strict: bool = False
 
     def to_dict(self) -> dict:
@@ -164,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--strict", action="store_true",
                         help="escalate accuracy warnings to exit code 4")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common.add_argument("--csv", dest="csv_path", default=None,
                         help="write sweep rows as CSV to this path")
     common.add_argument("--quantity", default=None,
@@ -262,7 +259,7 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         cmd = f"robin.{ns.robin_command}"
     elif cmd == "sweep":
         cmd = f"sweep.{ns.sweep_command}"
-    cfg = RunConfig(command=cmd, seed=ns.seed,
+    cfg = RunConfig(command=cmd,
                     strict=bool(ns.strict
                                 or os.environ.get("CONEBOUNDS_STRICT") == "1"),
                     csv_path=ns.csv_path, quantity=ns.quantity)
@@ -451,7 +448,6 @@ def run_config(cfg: RunConfig) -> tuple[dict, int]:
         "result": result,
         "warnings": caught,
         "version": __version__,
-        "seed": cfg.seed,
         "timing": {"wallTimeS": time.perf_counter() - t0},
     }
     code = 4 if (cfg.strict and caught) else 0
@@ -461,7 +457,7 @@ def run_config(cfg: RunConfig) -> tuple[dict, int]:
 def _error_report(cfg: RunConfig, kind: str, message: str) -> dict:
     return {"command": cfg.command, "config": cfg.to_dict(),
             "error": {"kind": kind, "message": message},
-            "version": __version__, "seed": cfg.seed}
+            "version": __version__}
 
 
 def run(argv: list[str] | None = None) -> int:

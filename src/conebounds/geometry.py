@@ -14,9 +14,10 @@ so no quadrature error enters the bounds.
 The module also carries the geometric bookkeeping needed by the spectral
 estimates: tangent substructures of a section (interior, one half-plane per
 edge, one wedge per corner), the radial projection used to compare a sharp
-cone with a thin cylinder, and the opening of the tangent wedge along a cone
-edge (a dihedral angle, equal to the interior angle of the spherical section
-at the corresponding vertex).
+cone with a thin cylinder, the outward normals of the lateral cone faces,
+and from them the opening of the tangent wedge along a cone edge (a
+dihedral angle, equal to the interior angle of the spherical section at the
+corresponding vertex).
 
 Conventions: angles in radians, vertices normalized to counterclockwise
 order, no implicit recentring of sections.  A separate helper reports the
@@ -38,6 +39,17 @@ DEGENERACY_RTOL = 1e-12
 
 def _cross2(u, v) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
+
+
+def _shoelace(v: np.ndarray):
+    """Coordinates, their cyclic successors and the shoelace terms.
+
+    Returns ``x, y, xn, yn, c`` with ``xn[i] = x[i+1]`` (cyclic) and
+    ``c = x*yn - xn*y``; ``sum(c)`` is twice the signed area.
+    """
+    x, y = v[:, 0], v[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    return x, y, xn, yn, x * yn - xn * y
 
 
 class Polygon:
@@ -70,8 +82,7 @@ class Polygon:
         edges = np.roll(v, -1, axis=0) - v
         if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= tol):
             raise GeometryError("coincident consecutive vertices")
-        area2 = float(np.sum(v[:, 0] * np.roll(v[:, 1], -1)
-                             - np.roll(v[:, 0], -1) * v[:, 1]))
+        area2 = float(np.sum(_shoelace(v)[-1]))
         if abs(area2) <= tol * diam:
             raise GeometryError("polygon area is numerically zero")
         self.reoriented = area2 < 0.0
@@ -201,11 +212,7 @@ def polygon_moments(polygon: Polygon) -> Moments:
                          + x_{i+1} y_i) ci) / 24
         int y^2   = sum((y_i^2 + y_i y_{i+1} + y_{i+1}^2) ci) / 12
     """
-    x = polygon.vertices[:, 0]
-    y = polygon.vertices[:, 1]
-    xn = np.roll(x, -1)
-    yn = np.roll(y, -1)
-    c = x * yn - xn * y
+    x, y, xn, yn, c = _shoelace(polygon.vertices)
     area = 0.5 * float(np.sum(c))
     ix2 = float(np.sum((x * x + x * xn + xn * xn) * c)) / 12.0
     ixy = float(np.sum((x * yn + 2.0 * x * y + 2.0 * xn * yn + xn * y) * c)) / 24.0
@@ -237,10 +244,7 @@ def centroid(section: Section) -> np.ndarray:
     """Centroid of a section (no recentring is ever done implicitly)."""
     if isinstance(section, Disc):
         return section.center.copy()
-    v = section.vertices
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    c = x * yn - xn * y
+    x, y, xn, yn, c = _shoelace(section.vertices)
     area = 0.5 * float(np.sum(c))
     cx = float(np.sum((x + xn) * c)) / (6.0 * area)
     cy = float(np.sum((y + yn) * c)) / (6.0 * area)
@@ -332,6 +336,27 @@ class TangentSubstructure:
     opening: float | None = None
 
 
+def _corner_angles(polygon: Polygon, idx: np.ndarray) -> np.ndarray:
+    """Interior corner angles at the vertices ``idx``, in (0, 2*pi).
+
+    Raises ``GeometryError`` at the first of them that is numerically 0
+    or pi (see :func:`interior_angle`).
+    """
+    v = polygon.vertices
+    u = v[(idx - 1) % len(v)] - v[idx]
+    w = v[(idx + 1) % len(v)] - v[idx]
+    # interior lies to the left of the oriented boundary, so sweep
+    # counterclockwise from the outgoing edge to the reversed incoming one
+    ang = np.arctan2(w[:, 0] * u[:, 1] - w[:, 1] * u[:, 0],
+                     np.sum(w * u, axis=1)) % (2.0 * math.pi)
+    bad = np.minimum(np.minimum(ang, np.abs(ang - math.pi)),
+                     2.0 * math.pi - ang) < 1e-9
+    if bad.any():
+        raise GeometryError(
+            f"degenerate corner angle at vertex {idx[np.argmax(bad)]}")
+    return ang
+
+
 def interior_angle(polygon: Polygon, i: int) -> float:
     """Interior corner angle at vertex ``i``, in (0, 2*pi).
 
@@ -339,16 +364,8 @@ def interior_angle(polygon: Polygon, i: int) -> float:
     (numerically) 0 or pi are rejected: such a corner is not a genuine
     vertex and the tangent wedge is not defined there.
     """
-    v = polygon.vertices
-    n = len(v)
-    u = v[(i - 1) % n] - v[i % n]
-    w = v[(i + 1) % n] - v[i % n]
-    # interior lies to the left of the oriented boundary, so sweep
-    # counterclockwise from the outgoing edge to the reversed incoming one
-    ang = math.atan2(_cross2(w, u), float(np.dot(w, u))) % (2.0 * math.pi)
-    if min(ang, abs(ang - math.pi), 2.0 * math.pi - ang) < 1e-9:
-        raise GeometryError(f"degenerate corner angle at vertex {i % n}")
-    return ang
+    return float(_corner_angles(polygon,
+                                np.array([i % polygon.n_vertices]))[0])
 
 
 def tangent_substructures(polygon: Polygon) -> list[TangentSubstructure]:
@@ -367,10 +384,9 @@ def tangent_substructures(polygon: Polygon) -> list[TangentSubstructure]:
         out.append(TangentSubstructure(
             kind="side", index=i,
             outward_normal=(d[1] / norm, -d[0] / norm)))
-    for i in range(n):
-        out.append(TangentSubstructure(
-            kind="vertex", index=i, opening=interior_angle(polygon, i)))
-    return out
+    angles = _corner_angles(polygon, np.arange(n))
+    return out + [TangentSubstructure(kind="vertex", index=i, opening=a)
+                  for i, a in enumerate(angles.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +424,48 @@ def projection_jacobian(xp, t: float = 1.0, step: float = 1e-6) -> np.ndarray:
     return jac
 
 
+def cone_faces(polygon: Polygon, eps: float) -> np.ndarray:
+    """Outward unit normals of the lateral faces of the cone over ``eps * polygon``.
+
+    Row ``i`` belongs to the face through the lifted vertices
+    ``L(v_i), L(v_{i+1})``, ``L(q) = (eps*q, 1)``, and is
+    ``L(v_{i+1}) x L(v_i)`` normalized.  For counterclockwise vertices it
+    points out of the cone whether or not the polygon is convex, since
+    ``n . L(q) = -eps^2 cross(v_{i+1} - v_i, q - v_i)``.
+    """
+    e = float(eps)
+    if not (e > 0.0) or not math.isfinite(e):
+        raise GeometryError("eps must be positive")
+    lifted = np.column_stack([e * polygon.vertices,
+                              np.ones(polygon.n_vertices)])
+    normals = np.cross(np.roll(lifted, -1, axis=0), lifted)
+    return normals / np.linalg.norm(normals, axis=1)[:, None]
+
+
+def _edge_openings(polygon: Polygon, eps: float, idx: np.ndarray) -> np.ndarray:
+    # the dihedral angle between faces i-1 and i through the inside of the
+    # cone; central projection keeps corner convexity, so an edge is reflex
+    # exactly where its plane corner is
+    faces = cone_faces(polygon, eps)
+    alpha = _corner_angles(polygon, idx)
+    prev, face = faces[idx - 1], faces[idx]
+    between = np.arctan2(np.linalg.norm(np.cross(prev, face), axis=1),
+                         np.sum(prev * face, axis=1))
+    return np.where(alpha > math.pi, math.pi + between, math.pi - between)
+
+
+def cone_edge_openings(polygon: Polygon, eps: float) -> np.ndarray:
+    """Openings of the tangent wedges along all cone edges over ``eps * polygon``.
+
+    Entry ``i`` is :func:`spherical_vertex_opening` at vertex ``i``:
+    ``pi - angle(n_{i-1}, n_i)`` between rows of :func:`cone_faces` at a
+    convex edge and ``pi + angle`` at a reflex one.  Raises
+    ``GeometryError`` at the first degenerate corner (see
+    :func:`interior_angle`).
+    """
+    return _edge_openings(polygon, eps, np.arange(polygon.n_vertices))
+
+
 def spherical_vertex_opening(polygon: Polygon, i: int, eps: float) -> float:
     """Opening of the tangent wedge along the cone edge through vertex ``i``.
 
@@ -423,42 +481,13 @@ def spherical_vertex_opening(polygon: Polygon, i: int, eps: float) -> float:
     with ``c = 0`` when the vertex sits at the origin (there the opening
     is ``alpha`` for every ``eps``).
 
-    The angle is computed by projecting the two adjacent edge rays onto the
-    plane orthogonal to the cone edge and measuring the arc between them
-    that contains an interior test direction (the lifted corner bisector),
-    which keeps reflex corners of nonconvex sections correct.
+    The angle is read off the outward face normals of :func:`cone_faces`
+    (:func:`cone_edge_openings` gives every edge at once), with the reflex
+    side taken from the plane corner, which keeps reflex corners of
+    nonconvex sections correct.
     """
-    e = float(eps)
-    if not (e > 0.0) or not math.isfinite(e):
-        raise GeometryError("eps must be positive")
-    v = polygon.vertices
-    n = len(v)
-    i = i % n
-    alpha = interior_angle(polygon, i)  # also rejects degenerate corners
-    p = v[i]
-    a = v[(i - 1) % n]
-    b = v[(i + 1) % n]
-    e3 = np.array([e * p[0], e * p[1], 1.0])
-    eh = e3 / np.linalg.norm(e3)
-
-    def perp(q):
-        q3 = np.array([e * q[0], e * q[1], 1.0])
-        return q3 - (q3 @ eh) * eh
-
-    pa = perp(a)
-    pb = perp(b)
-    # interior test direction: lift a point slightly inside the corner
-    w = b - p
-    ch, sh = math.cos(0.5 * alpha), math.sin(0.5 * alpha)
-    bis = np.array([ch * w[0] - sh * w[1], sh * w[0] + ch * w[1]])
-    bis /= np.linalg.norm(bis)
-    delta = 1e-3 * min(np.linalg.norm(a - p), np.linalg.norm(w))
-    pw = perp(p + delta * bis)
-    q1 = pa / np.linalg.norm(pa)
-    q2 = np.cross(eh, q1)
-    th_b = math.atan2(pb @ q2, pb @ q1) % (2.0 * math.pi)
-    th_w = math.atan2(pw @ q2, pw @ q1) % (2.0 * math.pi)
-    return th_b if th_w <= th_b else 2.0 * math.pi - th_b
+    return float(_edge_openings(polygon, eps,
+                                np.array([i % polygon.n_vertices]))[0])
 
 
 # ---------------------------------------------------------------------------

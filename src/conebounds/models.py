@@ -40,8 +40,8 @@ from scipy.sparse.linalg import eigsh
 
 from .errors import AccuracyWarning, DomainError, SolverError, UsageError
 from .gauge import MagneticField, e_constant
-from .geometry import (Polygon, Section, centroid, moments,
-                       spherical_vertex_opening, tangent_substructures)
+from .geometry import (Polygon, Section, cone_edge_openings, cone_faces,
+                       moments, tangent_substructures)
 from .halfline import GridSpec
 
 #: Provenance kinds carried by estimates.
@@ -177,6 +177,12 @@ def _theta0_cached(x_max: float, n: int) -> DeGennesResult:
 
 DEFAULT_GRID_2D = Grid2D()
 
+#: Field angles at or below this are 0 for :func:`halfspace_sigma`.  A field
+#: tangent to a face can come out of the face normal at ~1e-17 rad, where
+#: the 2d solver is wrong (its minimizer escapes the box); the slope of
+#: ``sigma`` at 0 is below 1, so snapping moves the value by less than this.
+ZERO_ANGLE_ATOL = 1e-12
+
 
 def halfspace_sigma(theta: float, grid2d: Grid2D | None = None) -> float:
     """Ground energy of the half-space with field at angle ``theta`` to the wall.
@@ -185,13 +191,13 @@ def halfspace_sigma(theta: float, grid2d: Grid2D | None = None) -> float:
     ``-d2/ds2 - d2/dt2 + (t cos(theta) - s sin(theta))^2`` on the half-plane
     ``t > 0`` with Neumann at ``t = 0``.  The operator degenerates as
     ``theta -> 0`` (the minimizing frequency escapes in ``s``), so
-    ``theta = 0`` is delegated to the de Gennes constant instead of the
-    2d solver.  Monotone nondecreasing from ``Theta_0`` to 1.
+    ``theta <= ZERO_ANGLE_ATOL`` is delegated to the de Gennes constant
+    instead of the 2d solver.  Monotone nondecreasing from ``Theta_0`` to 1.
     """
     th = float(theta)
     if not (0.0 <= th <= math.pi / 2.0 + 1e-12):
         raise DomainError("theta must lie in [0, pi/2]")
-    if th == 0.0:
+    if th <= ZERO_ANGLE_ATOL:
         return theta0()
     g = grid2d if grid2d is not None else DEFAULT_GRID_2D
     if g.s_half * math.sqrt(math.sin(th)) < 4.0:
@@ -332,8 +338,6 @@ def essential_spectrum_limit(field, section: Section, epsilons,
         raise DomainError("epsilons must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise DomainError("epsilons must be strictly decreasing")
-    verts = section.vertices
-    n = len(verts)
     out = []
     for eps in eps_list:
         if b.norm == 0.0:
@@ -341,16 +345,10 @@ def essential_spectrum_limit(field, section: Section, epsilons,
                                             upper=0.0, source="zero field")))
             continue
         bhat = b.as_array() / b.norm
-        sigmas = []
-        for i in range(n):
-            a3 = np.array([eps * verts[i][0], eps * verts[i][1], 1.0])
-            b3 = np.array([eps * verts[(i + 1) % n][0],
-                           eps * verts[(i + 1) % n][1], 1.0])
-            normal = np.cross(a3, b3)
-            th = _field_angle_to_plane(bhat, normal)
-            sigmas.append(halfspace_sigma(th, grid2d))
-        openings = [spherical_vertex_opening(section, i, eps)
-                    for i in range(n)]
+        openings = cone_edge_openings(section, eps).tolist()
+        thetas = np.arcsin(np.minimum(1.0, np.abs(cone_faces(section, eps)
+                                                  @ bhat)))
+        sigmas = [halfspace_sigma(th, grid2d) for th in thetas.tolist()]
         out.append((eps, _assemble_two_sided(
             b.norm, sigmas, openings, c,
             source=f"cone tangent models at eps={eps:g}; sigma by finite "
@@ -441,24 +439,11 @@ def truncated_domain_edges(section: Section, eps: float) -> TruncatedEdgeReport:
     e = float(eps)
     if not (e > 0.0) or not math.isfinite(e):
         raise DomainError("eps must be positive")
-    verts = section.vertices
-    n = len(verts)
-    lateral = tuple((i, spherical_vertex_opening(section, i, e))
-                    for i in range(n))
-    inner = np.array([e * centroid(section)[0], e * centroid(section)[1], 1.0])
-    zhat = np.array([0.0, 0.0, 1.0])
-    top = []
-    for i in range(n):
-        a3 = np.array([e * verts[i][0], e * verts[i][1], 1.0])
-        b3 = np.array([e * verts[(i + 1) % n][0],
-                       e * verts[(i + 1) % n][1], 1.0])
-        normal = np.cross(a3, b3)
-        if normal @ inner > 0.0:
-            normal = -normal  # outward from the solid
-        normal /= np.linalg.norm(normal)
-        top.append((i, math.pi - math.acos(
-            max(-1.0, min(1.0, float(normal @ zhat))))))
-    all_openings = [op for _, op in lateral] + [op for _, op in top]
-    beta0 = min(min(all_openings), 2.0 * math.pi - max(all_openings))
-    return TruncatedEdgeReport(eps=e, lateral=lateral, top=tuple(top),
-                               beta0=beta0)
+    lateral = cone_edge_openings(section, e)
+    # the cut plane's outward normal is +z
+    top = math.pi - np.arccos(np.clip(cone_faces(section, e)[:, 2], -1.0, 1.0))
+    both = np.concatenate([lateral, top])
+    return TruncatedEdgeReport(
+        eps=e, lateral=tuple(enumerate(lateral.tolist())),
+        top=tuple(enumerate(top.tolist())),
+        beta0=float(min(both.min(), 2.0 * math.pi - both.max())))

@@ -6,8 +6,8 @@ import math
 import pytest
 
 from conebounds import theta0
-from conebounds.cli import (DEFAULT_SEED, RunConfig, dumps_report,
-                            emit_plot_data, run, run_config)
+from conebounds.cli import (RunConfig, dumps_report, emit_plot_data, run,
+                            run_config)
 from conebounds.errors import UsageError
 
 DISC_DOC = {"disc": {"center": [0.0, 0.0], "radius": 1.0}}
@@ -51,7 +51,7 @@ class TestCommands:
                                         "--field", "0,0,1"])
         assert code == 0
         assert report["command"] == "bound"
-        assert report["seed"] == DEFAULT_SEED
+        assert "seed" not in report
         assert report["warnings"] == []
         assert isinstance(report["version"], str)
         assert report["timing"]["wallTimeS"] >= 0.0
@@ -254,7 +254,7 @@ class TestConfigAndSerialization:
     def test_config_round_trip(self):
         cfg = RunConfig(command="bound", section=DISC_DOC,
                         field_components=(0.0, 0.0, 1.0), n_max=2,
-                        epsilons=(1.0, 0.5), strict=True, seed=7)
+                        epsilons=(1.0, 0.5), strict=True)
         wire = json.loads(json.dumps(cfg.to_dict()))
         assert RunConfig.from_dict(wire) == cfg
 

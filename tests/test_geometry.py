@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conebounds import (Disc, GeometryError, Polygon, UsageError, centroid,
-                        disc_moments, interior_angle, moments, polygon_moments,
-                        project_P, projection_jacobian, scale_section,
-                        section_from_json, section_quadrature, section_to_json,
-                        spherical_vertex_opening, tangent_substructures)
+                        cone_faces, disc_moments, interior_angle, moments,
+                        polygon_moments, project_P, projection_jacobian,
+                        scale_section, section_from_json, section_quadrature,
+                        section_to_json, spherical_vertex_opening,
+                        tangent_substructures)
 from conftest import quad_moments, random_star_polygon
 
 
@@ -371,6 +372,11 @@ class TestSphericalVertexOpening:
             for eps in (2.0, 0.7, 0.1) + ladder:
                 n1 = np.cross(lift(a, eps), lift(p, eps))
                 n2 = np.cross(lift(p, eps), lift(b, eps))
+                faces = cone_faces(poly, eps)
+                assert np.allclose(faces[i - 1], -n1 / np.linalg.norm(n1),
+                                   rtol=0.0, atol=1e-14)
+                assert np.allclose(faces[i], -n2 / np.linalg.norm(n2),
+                                   rtol=0.0, atol=1e-14)
                 ang = math.atan2(np.linalg.norm(np.cross(n1, n2)), n1 @ n2)
                 want = math.pi - ang if alpha < math.pi else math.pi + ang
                 op = spherical_vertex_opening(poly, i, eps)

@@ -79,6 +79,11 @@ class TestHalfspaceSigma:
     def test_tangent_field_delegates_to_theta0(self):
         assert halfspace_sigma(0.0) == theta0()
 
+    def test_roundoff_angle_is_tangent(self):
+        # a field tangent to a cone face comes out at ~1e-17 rad; the 2d
+        # solver there returns a value above the Landau level
+        assert halfspace_sigma(4e-17) == theta0()
+
     def test_monotone_on_nine_grid(self):
         thetas = np.linspace(0.0, math.pi / 2.0, 9)
         vals = [halfspace_sigma(t) for t in thetas]
@@ -242,6 +247,16 @@ class TestEssentialSpectrumLimit:
         for eps, dev in zip(ladder, devs):
             assert dev <= c_fit * eps ** (1.0 / 3.0)
 
+    def test_field_tangent_to_a_face_up_to_roundoff(self, centered_square):
+        # (0, 0.3, 1) lies in the face over the edge y = 1 at eps = 0.3,
+        # so the face channel is Theta_0 |B| and sits below every other
+        field = (0.0, 0.3, 1.0)
+        (_, est), = essential_spectrum_limit(field, centered_square, [0.3],
+                                             c_floor=1.0)
+        want = theta0() * math.sqrt(0.3 ** 2 + 1.0)
+        assert est.lower == pytest.approx(want, abs=1e-12)
+        assert est.upper == pytest.approx(want, abs=1e-12)
+
     def test_zero_field_flagged(self, centered_square):
         est = essential_spectrum_limit((0, 0, 0), centered_square,
                                        [0.4, 0.2], c_floor=0.3)
@@ -347,6 +362,23 @@ class TestTruncatedEdges:
         ops = sorted(op for _, op in rep.lateral)
         assert ops == pytest.approx([math.pi / 4, math.pi / 4, math.pi / 2],
                                     abs=1e-4)
+
+    def test_dart_rim_is_the_true_dihedral(self):
+        # the centroid (0, 5/6) lies outside the lines of edges 1 and 2
+        verts = [(0.0, 2.0), (-1.0, -1.0), (0.0, 1.5), (1.0, -1.0)]
+        eps = 0.3
+        rep = truncated_domain_edges(Polygon(verts), eps)
+        assert len(rep.top) == 4
+        for i, op in rep.top:
+            p, q = (np.array([eps * x, eps * y, 1.0])
+                    for x, y in (verts[i], verts[(i + 1) % 4]))
+            along = (q - p) / np.linalg.norm(q - p)
+            # the top face points inward to the left of the CCW rim edge
+            inward = np.array([-along[1], along[0], 0.0])
+            # the lateral face runs down from the rim edge towards the apex
+            down = -p - (-p @ along) * along
+            down /= np.linalg.norm(down)
+            assert op == pytest.approx(math.acos(inward @ down), abs=1e-12)
 
     def test_errors(self, unit_disc, centered_square):
         with pytest.raises(UsageError):
