@@ -10,6 +10,12 @@ Floating point numbers are serialized with 17 significant digits so they
 round-trip exactly; non-finite values appear as the strings "inf", "-inf",
 "nan".
 
+The closed-form commands (``moments``, ``gauge``, ``bound``,
+``concentrate``, ``edges``, ``robin wedge``, ``sweep bound``, exact
+``spectrum1d``) run on numpy alone.  The finite-difference and quadrature
+solvers import scipy the first time they run, so the wall time of those
+commands includes that import.
+
 Exit codes: 0 success, 2 parse or usage errors, 3 domain errors
 (inadmissible geometry or parameters), 4 accuracy failures (hard accuracy
 errors always; accuracy warnings when running with --strict or with

@@ -340,7 +340,7 @@ def _corner_angles(polygon: Polygon, idx: np.ndarray) -> np.ndarray:
     """Interior corner angles at the vertices ``idx``, in (0, 2*pi).
 
     Raises ``GeometryError`` at the first of them that is numerically 0
-    or pi (see :func:`interior_angle`).
+    or 2*pi (see :func:`interior_angle`).
     """
     v = polygon.vertices
     u = v[(idx - 1) % len(v)] - v[idx]
@@ -349,8 +349,7 @@ def _corner_angles(polygon: Polygon, idx: np.ndarray) -> np.ndarray:
     # counterclockwise from the outgoing edge to the reversed incoming one
     ang = np.arctan2(w[:, 0] * u[:, 1] - w[:, 1] * u[:, 0],
                      np.sum(w * u, axis=1)) % (2.0 * math.pi)
-    bad = np.minimum(np.minimum(ang, np.abs(ang - math.pi)),
-                     2.0 * math.pi - ang) < 1e-9
+    bad = np.minimum(ang, 2.0 * math.pi - ang) < 1e-9
     if bad.any():
         raise GeometryError(
             f"degenerate corner angle at vertex {idx[np.argmax(bad)]}")
@@ -360,9 +359,11 @@ def _corner_angles(polygon: Polygon, idx: np.ndarray) -> np.ndarray:
 def interior_angle(polygon: Polygon, i: int) -> float:
     """Interior corner angle at vertex ``i``, in (0, 2*pi).
 
-    Reflex corners of nonconvex polygons give angles above pi.  Angles at
-    (numerically) 0 or pi are rejected: such a corner is not a genuine
-    vertex and the tangent wedge is not defined there.
+    Reflex corners of nonconvex polygons give angles above pi.  A straight
+    corner (collinear neighbours) gives pi: its two sides, and the two cone
+    faces over them, are coplanar, so its tangent model is the half-plane
+    the side entries already cover.  Angles at (numerically) 0 or 2*pi are
+    rejected: the tangent wedge is not defined there.
     """
     return float(_corner_angles(polygon,
                                 np.array([i % polygon.n_vertices]))[0])
@@ -459,8 +460,8 @@ def cone_edge_openings(polygon: Polygon, eps: float) -> np.ndarray:
 
     Entry ``i`` is :func:`spherical_vertex_opening` at vertex ``i``:
     ``pi - angle(n_{i-1}, n_i)`` between rows of :func:`cone_faces` at a
-    convex edge and ``pi + angle`` at a reflex one.  Raises
-    ``GeometryError`` at the first degenerate corner (see
+    convex edge and ``pi + angle`` at a reflex one; a straight corner gives
+    ``pi``.  Raises ``GeometryError`` at the first zero-angle corner (see
     :func:`interior_angle`).
     """
     return _edge_openings(polygon, eps, np.arange(polygon.n_vertices))

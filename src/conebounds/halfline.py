@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import AccuracyWarning, DomainError, UsageError
 from .geometry import Moments, Section, moments, section_quadrature
@@ -104,6 +103,8 @@ def fd_halfline_spectrum(lam: float, grid: GridSpec | None = None,
     scheme error).  Emits :class:`AccuracyWarning` when the lowest eigenvalue
     strays more than 10 percent from its exact value.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     if not (lam > 0.0) or not math.isfinite(lam):
         raise DomainError("lam must be positive")
     if int(n_max) < 1:

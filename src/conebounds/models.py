@@ -33,10 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import minimize_scalar
-from scipy.sparse.linalg import eigsh
 
 from .errors import AccuracyWarning, DomainError, SolverError, UsageError
 from .gauge import MagneticField, e_constant
@@ -139,6 +135,8 @@ def degennes_mu(xi: float, grid: GridSpec | None = None) -> DeGennesResult:
 
 @lru_cache(maxsize=4096)
 def _degennes_cached(xi: float, x_max: float, n: int) -> float:
+    from scipy.linalg import eigh_tridiagonal
+
     h = x_max / n
     t = h * np.arange(n)  # node 0 is the Neumann end; x_max is Dirichlet
     diag = np.full(n, 2.0 / h ** 2) + (t - xi) ** 2
@@ -161,6 +159,8 @@ def theta0_detail(grid: GridSpec | None = None) -> DeGennesResult:
 
 @lru_cache(maxsize=32)
 def _theta0_cached(x_max: float, n: int) -> DeGennesResult:
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(lambda xi: _degennes_cached(float(xi), x_max, n),
                           bounds=(0.4, 1.2), method="bounded",
                           options={"xatol": 1e-8})
@@ -210,6 +210,9 @@ def halfspace_sigma(theta: float, grid2d: Grid2D | None = None) -> float:
 @lru_cache(maxsize=256)
 def _sigma_cached(theta: float, s_half: float, t_max: float,
                   n_s: int, n_t: int) -> float:
+    from scipy import sparse
+    from scipy.sparse.linalg import eigsh
+
     hs = 2.0 * s_half / (n_s + 1)
     ht = t_max / n_t
     s = -s_half + hs * np.arange(1, n_s + 1)
@@ -226,7 +229,10 @@ def _sigma_cached(theta: float, s_half: float, t_max: float,
     pot = (tt * math.cos(theta) - ss * math.sin(theta)) ** 2
     ham = (ham + sparse.diags(pot.ravel())).tocsc()
     try:
-        val = eigsh(ham, k=1, sigma=0.0, which="LM",
+        # a fixed start vector keeps the value bitwise reproducible (ARPACK
+        # starts from a random one); every off-diagonal entry is negative,
+        # so the ground state has one sign and overlaps the constant vector
+        val = eigsh(ham, k=1, sigma=0.0, which="LM", v0=np.ones(n_s * n_t),
                     return_eigenvectors=False)
     except Exception as exc:  # factorization or convergence failure
         raise SolverError(f"half-plane eigensolve failed: {exc}") from exc

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AccuracyError, DomainError, UsageError
 from .geometry import Disc, Polygon, Section, centroid
@@ -199,6 +198,8 @@ def robin_cone_upper_bound(profile: BoundaryProfile) -> float:
     piece (absolute tolerance 1e-12 each, pieces split exactly at the
     break angles).  Always at most -1, the half-space value.
     """
+    from scipy.integrate import quad
+
     num = 0.0
     den = 0.0
     err = 0.0

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from conebounds import theta0
+import conebounds
+from conebounds import models, theta0
 from conebounds.cli import (RunConfig, dumps_report, emit_plot_data, run,
                             run_config)
 from conebounds.errors import UsageError
@@ -267,14 +271,18 @@ class TestConfigAndSerialization:
             RunConfig.from_dict({"n_max": 2})
 
     def test_reports_are_deterministic(self):
-        cfg = RunConfig(command="bound", section=DISC_DOC,
-                        field_components=(0.5, -0.25, 1.0))
-        rep_a, code_a = run_config(cfg)
-        rep_b, code_b = run_config(cfg)
-        assert code_a == code_b == 0
-        rep_a.pop("timing")
-        rep_b.pop("timing")
-        assert dumps_report(rep_a) == dumps_report(rep_b)
+        for cfg in (RunConfig(command="bound", section=DISC_DOC,
+                              field_components=(0.5, -0.25, 1.0)),
+                    RunConfig(command="model.sigma", theta=0.7),
+                    RunConfig(command="sweep.sigma", thetas=(0.4,))):
+            rep_a, code_a = run_config(cfg)
+            # a cached sigma would hide a solve that drifts between runs
+            models._sigma_cached.cache_clear()
+            rep_b, code_b = run_config(cfg)
+            assert code_a == code_b == 0
+            rep_a.pop("timing")
+            rep_b.pop("timing")
+            assert dumps_report(rep_a) == dumps_report(rep_b)
 
     def test_dumps_report_float_fidelity(self):
         x = 0.1234567890123456789
@@ -290,3 +298,61 @@ class TestConfigAndSerialization:
     def test_dumps_report_rejects_opaque_objects(self):
         with pytest.raises(UsageError):
             dumps_report({"x": object()})
+
+
+# Runs in a fresh interpreter: closed-form commands must not load scipy,
+# and the FD command must still load it on first use.
+_SCIPY_PROBE = r"""
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+import conebounds
+from conebounds import cli
+
+out = {"import": scipy_modules(), "codes": []}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        out["codes"].append(cli.run(argv))
+out["closed_form"] = scipy_modules()
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    out["fd_code"] = cli.run(["spectrum1d", "--lam", "1", "--method", "fd"])
+out["fd"] = json.loads(buf.getvalue())["result"]["eigenvalues"]
+print(json.dumps(out))
+"""
+
+
+class TestImportCost:
+    def test_closed_form_commands_do_not_load_scipy(self, capsys, disc_file,
+                                                    square_file):
+        closed_form = [
+            ["moments", "--section", square_file],
+            ["gauge", "--section", square_file],
+            ["bound", "--section", disc_file, "--field", "0,0,1"],
+            ["concentrate", "--section", disc_file, "--field", "0,0,1",
+             "--cfloor", "1", "--eps", "0.2"],
+            ["edges", "--section", square_file, "--eps", "0.3"],
+            ["robin", "wedge", "--alpha", "1.5"],
+            ["sweep", "bound", "--section", disc_file, "--field", "0,0,1",
+             "--eps", "1,0.5"],
+            ["spectrum1d", "--lam", "1", "--method", "exact"],
+        ]
+        src = os.path.dirname(os.path.dirname(conebounds.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, json.dumps(closed_form)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["import"] == []
+        assert out["codes"] == [0] * len(closed_form)
+        assert out["closed_form"] == []
+        assert out["fd_code"] == 0
+        code, report = run_cli(capsys, ["spectrum1d", "--lam", "1",
+                                        "--method", "fd"])
+        assert code == 0
+        assert out["fd"] == report["result"]["eigenvalues"]

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conebounds import (Disc, GeometryError, Polygon, UsageError, centroid,
-                        cone_faces, disc_moments, interior_angle, moments,
-                        polygon_moments, project_P, projection_jacobian,
-                        scale_section, section_from_json, section_quadrature,
-                        section_to_json, spherical_vertex_opening,
-                        tangent_substructures)
+                        cone_edge_openings, cone_faces, disc_moments,
+                        interior_angle, moments, polygon_moments, project_P,
+                        projection_jacobian, scale_section, section_from_json,
+                        section_quadrature, section_to_json,
+                        spherical_vertex_opening, tangent_substructures)
 from conftest import quad_moments, random_star_polygon
 
 
@@ -287,6 +287,33 @@ class TestTangentSubstructures:
                if s.kind == "vertex"]
         assert any(op > math.pi for op in ops)
         assert sum(ops) == pytest.approx((5 - 2) * math.pi, abs=1e-9)
+
+    def test_straight_corner_opens_to_pi(self, centered_square):
+        # vertex 1 sits between collinear neighbours: the section is valid,
+        # the two cone faces over its sides are coplanar, the edge is flat
+        flat = Polygon([(-1, -1), (0, -1), (1, -1), (1, 1), (-1, 1)])
+        assert interior_angle(flat, 1) == pytest.approx(math.pi, abs=1e-12)
+        ops = [s.opening for s in tangent_substructures(flat)
+               if s.kind == "vertex"]
+        assert ops == pytest.approx([math.pi / 2, math.pi] + [math.pi / 2] * 3,
+                                    abs=1e-12)
+        for eps in (0.05, 0.3, 1.2):
+            got = cone_edge_openings(flat, eps)
+            assert got[1] == pytest.approx(math.pi, abs=1e-12)
+            assert np.delete(got, 1) == pytest.approx(
+                cone_edge_openings(centered_square, eps), abs=1e-12)
+
+    def test_zero_angle_corner_still_raises(self):
+        # a spike 1e-10 wide at vertex 4: simple, so Polygon accepts it,
+        # but its tip has no tangent wedge
+        spiky = Polygon([(0, 0), (1, 0), (1, 1), (0.5 + 1e-10, 1), (0.5, 3),
+                         (0.5, 1), (0, 1)])
+        with pytest.raises(GeometryError, match="vertex 4"):
+            interior_angle(spiky, 4)
+        with pytest.raises(GeometryError, match="vertex 4"):
+            tangent_substructures(spiky)
+        with pytest.raises(GeometryError, match="vertex 4"):
+            cone_edge_openings(spiky, 0.3)
 
 
 class TestProjectP:

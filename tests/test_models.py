@@ -11,9 +11,12 @@ from conebounds import (AccuracyWarning, Disc, DomainError, EnergyEstimate,
                         e_constant, essential_spectrum_limit, halfspace_sigma,
                         theta0, theta0_detail, truncated_domain_edges,
                         wedge_energy_upper)
+from conebounds.models import DEFAULT_GRID_2D, _sigma_cached
 
 # box sized for the smallest face angle in the eps ladders below
 ESS_GRID = Grid2D(s_half=32.0, t_max=12.0, n_s=455, n_t=96)
+# the centred square with a straight corner at (0, -1)
+FLAT_CORNER = [(-1, -1), (0, -1), (1, -1), (1, 1), (-1, 1)]
 
 
 class TestDeGennes:
@@ -83,6 +86,14 @@ class TestHalfspaceSigma:
         # a field tangent to a cone face comes out at ~1e-17 rad; the 2d
         # solver there returns a value above the Landau level
         assert halfspace_sigma(4e-17) == theta0()
+
+    def test_uncached_solves_are_bitwise_equal(self):
+        # ARPACK starts from a random vector unless given one; the value
+        # then drifts in its last digits between solves
+        g = DEFAULT_GRID_2D
+        a, b = (_sigma_cached.__wrapped__(0.7, g.s_half, g.t_max, g.n_s, g.n_t)
+                for _ in range(2))
+        assert a == b
 
     def test_monotone_on_nine_grid(self):
         thetas = np.linspace(0.0, math.pi / 2.0, 9)
@@ -211,6 +222,14 @@ class TestCylinderEnergy:
         with pytest.raises(UsageError):
             cylinder_energy((0, 0, 1), centered_square, 1.5)
 
+    def test_straight_corner_matches_square(self, centered_square):
+        flat = Polygon(FLAT_CORNER)
+        for field in ((0, 0, 1), (0.3, -0.4, 0.8)):
+            want = cylinder_energy(field, centered_square, 0.3)
+            got = cylinder_energy(field, flat, 0.3)
+            assert got.lower == pytest.approx(want.lower, abs=1e-12)
+            assert got.upper == pytest.approx(want.upper, abs=1e-12)
+
     def test_inconsistent_floor_rejected(self):
         # a 0.1-rad corner has wedge upper bound 0.058; a floor of 1 would
         # claim a lower bound above it, which cannot be a valid floor
@@ -256,6 +275,20 @@ class TestEssentialSpectrumLimit:
         want = theta0() * math.sqrt(0.3 ** 2 + 1.0)
         assert est.lower == pytest.approx(want, abs=1e-12)
         assert est.upper == pytest.approx(want, abs=1e-12)
+
+    def test_straight_corner_matches_square(self, centered_square):
+        # a coarse box, wide enough for the smallest face angle (0.06 rad)
+        grid = Grid2D(s_half=20.0, t_max=8.0, n_s=150, n_t=40)
+        flat = Polygon(FLAT_CORNER)
+        for field in ((0, 0, 1), (0.3, -0.4, 0.8)):
+            want = essential_spectrum_limit(field, centered_square, [0.3, 0.1],
+                                            c_floor=0.3, grid2d=grid)
+            got = essential_spectrum_limit(field, flat, [0.3, 0.1],
+                                           c_floor=0.3, grid2d=grid)
+            for (eps_w, w), (eps_g, g) in zip(want, got):
+                assert eps_g == eps_w
+                assert g.lower == pytest.approx(w.lower, abs=1e-12)
+                assert g.upper == pytest.approx(w.upper, abs=1e-12)
 
     def test_zero_field_flagged(self, centered_square):
         est = essential_spectrum_limit((0, 0, 0), centered_square,
@@ -379,6 +412,20 @@ class TestTruncatedEdges:
             down = -p - (-p @ along) * along
             down /= np.linalg.norm(down)
             assert op == pytest.approx(math.acos(inward @ down), abs=1e-12)
+
+    def test_straight_corner_opens_to_pi(self, centered_square):
+        rep = truncated_domain_edges(Polygon(FLAT_CORNER), 0.3)
+        sq = truncated_domain_edges(centered_square, 0.3)
+        lateral = [op for _, op in rep.lateral]
+        assert lateral[1] == pytest.approx(math.pi, abs=1e-12)
+        assert lateral[:1] + lateral[2:] == pytest.approx(
+            [op for _, op in sq.lateral], abs=1e-12)
+        # the square's bottom rim edge, split in two at the straight corner
+        top = [op for _, op in rep.top]
+        assert top[:1] + top[2:] == pytest.approx([op for _, op in sq.top],
+                                                  abs=1e-12)
+        assert top[1] == pytest.approx(top[0], abs=1e-12)
+        assert rep.beta0 == pytest.approx(sq.beta0, abs=1e-12)
 
     def test_errors(self, unit_disc, centered_square):
         with pytest.raises(UsageError):
