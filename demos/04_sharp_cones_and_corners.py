@@ -13,19 +13,16 @@ edge openings of the truncated domain used in practical computations.
 
 import math
 
-from conebounds import (Disc, Grid2D, Polygon, concentration_threshold,
+from conebounds import (Disc, Polygon, concentration_threshold,
                         cylinder_energy, essential_spectrum_limit,
                         rayleigh_upper_bounds, truncated_domain_edges)
 
 SQUARE = Polygon([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
 FIELD = (0.0, 0.0, 1.0)
 
-# box sized for the smallest face angles reached along the ladder
-GRID = Grid2D(s_half=32.0, t_max=12.0, n_s=455, n_t=96)
-
 # --- the reference cylinder ---------------------------------------------------
 
-cyl = cylinder_energy(FIELD, SQUARE, c_floor=0.5, grid2d=GRID)
+cyl = cylinder_energy(FIELD, SQUARE, c_floor=0.5)
 print(f"cylinder over the square, axial unit field:")
 print(f"  lower bound {cyl.lower:.6f} (certified floor), "
       f"upper bound {cyl.upper:.6f} ({cyl.source})")
@@ -34,7 +31,7 @@ print(f"  lower bound {cyl.lower:.6f} (certified floor), "
 
 print("\neps     ess lower   ess upper   gap to cylinder upper")
 for eps, est in essential_spectrum_limit(FIELD, SQUARE, (0.4, 0.2, 0.1, 0.05),
-                                         0.5, grid2d=GRID):
+                                         0.5):
     print(f"{eps:4.2f}    {est.lower:.6f}    {est.upper:.6f}    "
           f"{abs(est.upper - cyl.upper):.4f}")
 

@@ -26,11 +26,11 @@ from .halfline import (GridSpec, cone_quotient_consistency, default_grid,
                        exact_reduced_spectrum, fd_halfline_spectrum,
                        lambda_from_gauge, rayleigh_quotient_1d)
 from .models import (ConcentrationThreshold, ConcentrationVerdict,
-                     DeGennesResult, EnergyEstimate, Grid2D,
-                     TruncatedEdgeReport, concentration_threshold,
-                     cylinder_energy, degennes_mu, essential_spectrum_limit,
-                     halfspace_sigma, theta0, theta0_detail,
-                     truncated_domain_edges, wedge_energy_upper)
+                     DeGennesResult, EnergyEstimate, TruncatedEdgeReport,
+                     concentration_threshold, cylinder_energy, degennes_mu,
+                     essential_spectrum_limit, halfspace_sigma, theta0,
+                     theta0_detail, truncated_domain_edges,
+                     wedge_energy_upper)
 from .robin import (BoundaryProfile, ProfilePiece, robin_best_axis_bound,
                     robin_cone_upper_bound, robin_model_energy,
                     robin_scaling_exponent)
@@ -54,7 +54,7 @@ __all__ = [
     "exact_reduced_spectrum", "fd_halfline_spectrum", "lambda_from_gauge",
     "rayleigh_quotient_1d",
     "ConcentrationThreshold", "ConcentrationVerdict", "DeGennesResult",
-    "EnergyEstimate", "Grid2D", "TruncatedEdgeReport",
+    "EnergyEstimate", "TruncatedEdgeReport",
     "concentration_threshold", "cylinder_energy", "degennes_mu",
     "essential_spectrum_limit", "halfspace_sigma", "theta0", "theta0_detail",
     "truncated_domain_edges", "wedge_energy_upper",

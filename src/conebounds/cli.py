@@ -12,9 +12,13 @@ round-trip exactly; non-finite values appear as the strings "inf", "-inf",
 
 The closed-form commands (``moments``, ``gauge``, ``bound``,
 ``concentrate``, ``edges``, ``robin wedge``, ``sweep bound``, exact
-``spectrum1d``) run on numpy alone.  The finite-difference and quadrature
-solvers import scipy the first time they run, so the wall time of those
-commands includes that import.
+``spectrum1d``) and the half-space energies (``model sigma``, ``sweep
+sigma`` and ``ess``, whose ``sigma`` is a spectral Rayleigh-Ritz solve)
+run on numpy alone.  The finite-difference and quadrature solvers
+(``spectrum1d --method fd``, ``model theta0``, ``robin cone``, ``robin
+scaling``, and ``sigma`` at angle 0, which is ``Theta_0``) import scipy
+the first time they run, so the wall time of those commands includes
+that import.
 
 Exit codes: 0 success, 2 parse or usage errors, 3 domain errors
 (inadmissible geometry or parameters), 4 accuracy failures (hard accuracy
@@ -42,8 +46,9 @@ from .gauge import (min_transverse_norm_sq, optimal_transverse_gauge,
                     rayleigh_upper_bounds)
 from .geometry import moments, scale_section, section_from_json
 from .halfline import GridSpec, exact_reduced_spectrum, fd_halfline_spectrum
-from .models import (concentration_threshold, essential_spectrum_limit,
-                     halfspace_sigma, theta0_detail, truncated_domain_edges)
+from .models import (ZERO_ANGLE_ATOL, concentration_threshold,
+                     essential_spectrum_limit, halfspace_sigma, theta0_detail,
+                     truncated_domain_edges)
 from .robin import (BoundaryProfile, robin_cone_upper_bound,
                     robin_model_energy, robin_scaling_exponent)
 
@@ -310,13 +315,24 @@ def _section_of(cfg: RunConfig):
     return section_from_json(_need(cfg, "section", "a section"))
 
 
+def _sigma_provenance(thetas) -> list[str]:
+    """Tags for ``sigma`` values: Rayleigh-Ritz upper bounds, FD at angle 0."""
+    tags = []
+    if any(th > ZERO_ANGLE_ATOL for th in thetas):
+        tags.append("Rayleigh-Ritz")
+    if any(th <= ZERO_ANGLE_ATOL for th in thetas):
+        return tags + ["FD"]
+    return tags + ["upper-bound"]
+
+
 def execute_config(cfg: RunConfig) -> dict:
     """Run one configured command and return its result payload.
 
     Every payload carries a ``provenance`` list saying how its numbers
     were obtained: closed form ("exact"), adaptive quadrature
-    ("quadrature"), finite differences ("FD"), and whether they bound the
-    true quantity from one side ("upper-bound" / "lower-bound").
+    ("quadrature"), finite differences ("FD"), a Rayleigh-Ritz (Galerkin)
+    eigenvalue ("Rayleigh-Ritz"), and whether they bound the true quantity
+    from one side ("upper-bound" / "lower-bound").
     """
     cmd = cfg.command
     if cmd == "moments":
@@ -358,7 +374,7 @@ def execute_config(cfg: RunConfig) -> dict:
     if cmd == "model.sigma":
         th = _need(cfg, "theta", "--theta")
         return {"theta": th, "sigma": halfspace_sigma(th),
-                "provenance": ["FD"]}
+                "provenance": _sigma_provenance([th])}
     if cmd == "ess":
         pairs = essential_spectrum_limit(
             _need(cfg, "field_components", "a field"), _section_of(cfg),
@@ -367,7 +383,8 @@ def execute_config(cfg: RunConfig) -> dict:
         return {"sweepKey": "eps",
                 "rows": [dict(eps=eps, **est.to_json_dict())
                          for eps, est in pairs],
-                "provenance": ["FD", "upper-bound", "lower-bound"]}
+                "provenance": ["Rayleigh-Ritz", "FD", "upper-bound",
+                               "lower-bound"]}
     if cmd == "concentrate":
         thr = concentration_threshold(
             _need(cfg, "field_components", "a field"), _section_of(cfg),
@@ -419,9 +436,10 @@ def execute_config(cfg: RunConfig) -> dict:
         return {"sweepKey": "eps", "rows": rows,
                 "provenance": ["exact", "upper-bound"]}
     if cmd == "sweep.sigma":
-        rows = [{"theta": th, "sigma": halfspace_sigma(th)}
-                for th in _need(cfg, "thetas", "a theta list")]
-        return {"sweepKey": "theta", "rows": rows, "provenance": ["FD"]}
+        thetas = _need(cfg, "thetas", "a theta list")
+        rows = [{"theta": th, "sigma": halfspace_sigma(th)} for th in thetas]
+        return {"sweepKey": "theta", "rows": rows,
+                "provenance": _sigma_provenance(thetas)}
     raise UsageError(f"unknown command {cfg.command!r}")
 
 

@@ -8,9 +8,10 @@ faces, wedges along the edges.  The corresponding scalar model energies
 
 * interior: 1 (the Landau level),
 * half-space whose boundary plane makes the unsigned angle ``theta``
-  with the field: ``sigma(theta)``, computed from a Schroedinger operator
-  on a half-plane; ``sigma(0)`` is the de Gennes constant ``Theta_0 ~ 0.59``
-  and ``sigma(pi/2) = 1``, nondecreasing in between,
+  with the field: ``sigma(theta)``, the bottom of a Schroedinger operator
+  on a half-plane, computed by Rayleigh-Ritz on a theta-adapted spectral
+  basis (an upper bound); ``sigma(0)`` is the de Gennes constant
+  ``Theta_0 ~ 0.59`` and ``sigma(pi/2) = 1``, nondecreasing in between,
 * wedge of opening ``alpha``: no closed form; a trusted caller-supplied
   floor ``c_floor`` is used from below and the small-opening upper bound
   ``|B| alpha / sqrt(3)`` from above (valid for fields in the bisector
@@ -21,20 +22,21 @@ energy of the reference cylinder over a section and of sharpening cones,
 and an explicit threshold for when the apex bound drops below every
 non-apex channel, certifying corner concentration.
 
-All finite-difference energies here use Dirichlet truncation of the
-unbounded directions, which biases them upward; sources say so.
+The de Gennes energies here are finite differences with Dirichlet
+truncation of the half-line, which biases them upward.  The two-sided
+estimates use the Rayleigh-Ritz ``sigma`` at both ends, so their lower
+ends are not proven lower bounds yet; sources say so.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyWarning, DomainError, SolverError, UsageError
+from .errors import DomainError, SolverError, UsageError
 from .gauge import MagneticField, e_constant
 from .geometry import (Polygon, Section, cone_edge_openings, cone_faces,
                        moments, tangent_substructures)
@@ -50,23 +52,6 @@ TWO_SIDED = "TwoSided"
 class DeGennesResult:
     xi: float
     mu: float
-
-
-@dataclass(frozen=True)
-class Grid2D:
-    """Box and mesh for the half-plane model: ``s in (-s_half, s_half)``,
-    ``t in [0, t_max)``, Dirichlet on the artificial sides, Neumann at ``t = 0``."""
-
-    s_half: float = 10.0
-    t_max: float = 20.0
-    n_s: int = 159
-    n_t: int = 160
-
-    def __post_init__(self) -> None:
-        if not (self.s_half > 0.0 and self.t_max > 0.0):
-            raise UsageError("box dimensions must be positive")
-        if self.n_s < 16 or self.n_t < 16:
-            raise UsageError("2d grid needs at least 16 points per direction")
 
 
 @dataclass(frozen=True)
@@ -175,68 +160,149 @@ def _theta0_cached(x_max: float, n: int) -> DeGennesResult:
 # ---------------------------------------------------------------------------
 # half-space model
 
-DEFAULT_GRID_2D = Grid2D()
-
 #: Field angles at or below this are 0 for :func:`halfspace_sigma`.  A field
-#: tangent to a face can come out of the face normal at ~1e-17 rad, where
-#: the 2d solver is wrong (its minimizer escapes the box); the slope of
-#: ``sigma`` at 0 is below 1, so snapping moves the value by less than this.
+#: tangent to a face can come out of the face normal at ~1e-17 rad; the
+#: slope of ``sigma`` at 0 is below 1, so snapping moves the value by less
+#: than this.
 ZERO_ANGLE_ATOL = 1e-12
 
+#: Below this field angle the Rayleigh-Ritz basis follows the boundary
+#: (de Gennes) mode, above it the Landau mode sheared along the field.
+SHEAR_ANGLE = 0.35
 
-def halfspace_sigma(theta: float, grid2d: Grid2D | None = None) -> float:
+# de Gennes constant (literature value), only to centre the small-angle basis
+_THETA0_CENTRE = 0.590106
+
+
+def halfspace_sigma(theta: float) -> float:
     """Ground energy of the half-space with field at angle ``theta`` to the wall.
 
     For ``theta`` in ``(0, pi/2]`` this is the bottom of
     ``-d2/ds2 - d2/dt2 + (t cos(theta) - s sin(theta))^2`` on the half-plane
-    ``t > 0`` with Neumann at ``t = 0``.  The operator degenerates as
-    ``theta -> 0`` (the minimizing frequency escapes in ``s``), so
-    ``theta <= ZERO_ANGLE_ATOL`` is delegated to the de Gennes constant
-    instead of the 2d solver.  Monotone nondecreasing from ``Theta_0`` to 1.
+    ``t > 0`` with Neumann at ``t = 0``, computed by Rayleigh-Ritz on a
+    basis adapted to ``theta`` (:func:`sigma_basis`), so the value bounds
+    ``sigma`` from above.  The operator degenerates as ``theta -> 0`` (the
+    minimizing frequency escapes in ``s``), so ``theta <= ZERO_ANGLE_ATOL``
+    is delegated to the de Gennes constant.  Monotone nondecreasing from
+    ``Theta_0`` to 1.
     """
     th = float(theta)
     if not (0.0 <= th <= math.pi / 2.0 + 1e-12):
         raise DomainError("theta must lie in [0, pi/2]")
     if th <= ZERO_ANGLE_ATOL:
         return theta0()
-    g = grid2d if grid2d is not None else DEFAULT_GRID_2D
-    if g.s_half * math.sqrt(math.sin(th)) < 4.0:
-        warnings.warn(
-            f"half-plane box may be too small for theta={th:.4g}",
-            AccuracyWarning, stacklevel=2)
-    return _sigma_cached(th, g.s_half, g.t_max, g.n_s, g.n_t)
+    return _sigma_cached(th)
 
 
 @lru_cache(maxsize=256)
-def _sigma_cached(theta: float, s_half: float, t_max: float,
-                  n_s: int, n_t: int) -> float:
-    from scipy import sparse
-    from scipy.sparse.linalg import eigsh
+def _sigma_cached(theta: float) -> float:
+    return rayleigh_ritz_sigma(theta, *sigma_basis(theta))
 
-    hs = 2.0 * s_half / (n_s + 1)
-    ht = t_max / n_t
-    s = -s_half + hs * np.arange(1, n_s + 1)
-    t = ht * np.arange(n_t)  # t = 0 is the physical Neumann boundary
-    ls = sparse.diags([np.full(n_s - 1, -1.0 / hs ** 2),
-                       np.full(n_s, 2.0 / hs ** 2),
-                       np.full(n_s - 1, -1.0 / hs ** 2)], [-1, 0, 1])
-    off_t = np.full(n_t - 1, -1.0 / ht ** 2)
-    off_t[0] = -math.sqrt(2.0) / ht ** 2  # symmetrized Neumann coupling
-    lt = sparse.diags([off_t, np.full(n_t, 2.0 / ht ** 2), off_t], [-1, 0, 1])
-    ham = sparse.kron(sparse.identity(n_t), ls) \
-        + sparse.kron(lt, sparse.identity(n_s))
-    tt, ss = np.meshgrid(t, s, indexing="ij")
-    pot = (tt * math.cos(theta) - ss * math.sin(theta)) ** 2
-    ham = (ham + sparse.diags(pot.ravel())).tocsc()
+
+def sigma_basis(theta: float) -> tuple[float, float, float, float, int, int]:
+    """``(kappa, centre, scale, t_max, n_x, n_t)`` of the basis at ``theta``.
+
+    Below :data:`SHEAR_ANGLE` the mode is a de Gennes profile in ``t``
+    sitting where ``s sin(theta) = sqrt(Theta_0 cos(theta))``, with
+    Born-Oppenheimer width ``~ sin(theta)^(-1/2)`` in ``s``.  Above it the
+    potential is ``(x sin(theta))^2`` in the sheared ``x = s - t cot(theta)``
+    (a Landau mode of width ``1/sin(theta)``), and the mode decays in ``t``
+    like ``exp(-sqrt(1 - sigma) t / sin(theta))`` with
+    ``1 - sigma ~ 0.15 cos(theta)^4``; ``t_max`` is sized for that, up to
+    60, where the Dirichlet end costs ``(pi / 120)^2 < 7e-4`` at ``pi/2``.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    if theta < SHEAR_ANGLE:
+        return (0.0, math.sqrt(_THETA0_CENTRE * c) / s, 1.3 / math.sqrt(s),
+                7.0, 16, 16)
+    t_max = min(60.0, max(10.0, 18.0 * s / c ** 2))
+    return c / s, 0.0, 0.8 / s, t_max, 10, 24
+
+
+def rayleigh_ritz_sigma(theta: float, kappa: float, centre: float,
+                        scale: float, t_max: float, n_x: int, n_t: int
+                        ) -> float:
+    """Least Rayleigh-Ritz value of the half-plane operator on a tensor basis.
+
+    In ``x = s - kappa t = centre + scale * xi`` the quadratic form reads
+    ``(1 + kappa^2) |w_x|^2 - 2 kappa w_x w_t + |w_t|^2 + V |w|^2`` with
+    ``V = (p t + r + q xi)^2``, ``p = cos - kappa sin``, ``r = -centre sin``,
+    ``q = -scale sin``.  The basis is the first ``n_x`` Hermite functions of
+    ``xi`` times the polynomials of degree ``<= n_t`` on ``[0, t_max]`` that
+    vanish at ``t_max`` (extended by zero): it lies in the form domain and
+    leaves the Neumann condition at ``t = 0`` natural, so the value bounds
+    ``sigma(theta)`` from above, and enlarging ``n_x`` or ``n_t`` never
+    raises it.  ``V`` is quadratic, so each block is a Kronecker product of
+    1-d Gram matrices that Gauss quadrature gives exactly.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    p, r, q = c - kappa * s, -centre * s, -scale * s
+    x1, x2, dx, cx = _hermite_grams(n_x)
+    t1, t2, dt, ct = _legendre_grams(n_t)
+    ix, it = np.eye(n_x), np.eye(n_t)
+    h_x = (1.0 + kappa ** 2) / scale ** 2 * dx + q * q * x2 \
+        + 2.0 * r * q * x1 + r * r * ix
+    h_t = dt / t_max ** 2 + (p * t_max) ** 2 * t2 + 2.0 * p * r * t_max * t1
+    ham = np.kron(h_x, it) + np.kron(ix, h_t) \
+        + 2.0 * p * q * t_max * np.kron(x1, t1) \
+        - kappa / (scale * t_max) * (np.kron(cx, ct.T) + np.kron(cx.T, ct))
     try:
-        # a fixed start vector keeps the value bitwise reproducible (ARPACK
-        # starts from a random one); every off-diagonal entry is negative,
-        # so the ground state has one sign and overlaps the constant vector
-        val = eigsh(ham, k=1, sigma=0.0, which="LM", v0=np.ones(n_s * n_t),
-                    return_eigenvectors=False)
-    except Exception as exc:  # factorization or convergence failure
+        return float(np.linalg.eigvalsh(ham)[0])
+    except np.linalg.LinAlgError as exc:
         raise SolverError(f"half-plane eigensolve failed: {exc}") from exc
-    return float(val[0])
+
+
+def _grams(f: np.ndarray, d: np.ndarray, t: np.ndarray) -> tuple:
+    """``(<f t f>, <f t^2 f>, <d d>, <d f>)`` from weighted node values."""
+    out = tuple(np.ascontiguousarray(m) for m in
+                ((f * t) @ f.T, (f * t * t) @ f.T, d @ d.T, d @ f.T))
+    for m in out:
+        m.setflags(write=False)  # shared through the cache
+    return out
+
+
+@lru_cache(maxsize=16)
+def _hermite_grams(n: int) -> tuple:
+    """Gram matrices of the orthonormal Hermite functions ``h_0..h_{n-1}``.
+
+    ``h_k = H_k(xi) exp(-xi^2/2)`` with normalized Hermite polynomials
+    ``H_k``; ``h_k' = sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1}``.  Every
+    integrand is ``exp(-xi^2)`` times a polynomial of degree ``<= 2n``, so
+    ``n + 1`` Gauss-Hermite nodes integrate it exactly.
+    """
+    xi, w = np.polynomial.hermite.hermgauss(n + 1)
+    h = np.empty((n + 1, xi.size))
+    h[0] = math.pi ** -0.25
+    h[1] = math.sqrt(2.0) * xi * h[0]
+    for k in range(1, n):
+        h[k + 1] = (math.sqrt(2.0 / (k + 1)) * xi * h[k]
+                    - math.sqrt(k / (k + 1)) * h[k - 1])
+    k = np.arange(n)[:, None]
+    below = np.vstack([np.zeros_like(xi), h[:n - 1]])
+    d = np.sqrt(k / 2.0) * below - np.sqrt((k + 1) / 2.0) * h[1:]
+    g = np.sqrt(w)
+    return _grams(h[:n] * g, d * g, xi)
+
+
+@lru_cache(maxsize=16)
+def _legendre_grams(n: int) -> tuple:
+    """Gram matrices of an orthonormal basis of ``{deg <= n, f(1) = 0}``.
+
+    The polynomials live on ``[0, 1]``; they are built from ``P_j - P_{j+1}``
+    (``j < n``) in ``tau = 2t - 1`` and orthonormalized by Cholesky.
+    ``n + 2`` Gauss-Legendre nodes integrate every product exactly.  On ``[0, T]`` the basis ``T^(-1/2) f(t/T)``
+    scales the matrices by ``T``, ``T^2``, ``T^-2`` and ``T^-1``.
+    """
+    leg = np.polynomial.legendre
+    tau, w = leg.leggauss(n + 2)
+    v = leg.legvander(tau, n)
+    dv = leg.legvander(tau, n - 1) @ leg.legder(np.eye(n + 1))
+    g = np.sqrt(w / 2.0)
+    f = (v[:, :n] - v[:, 1:]).T * g
+    d = 2.0 * (dv[:, :n] - dv[:, 1:]).T * g
+    chol = np.linalg.cholesky(f @ f.T)
+    return _grams(np.linalg.solve(chol, f), np.linalg.solve(chol, d),
+                  (tau + 1.0) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +347,13 @@ def _assemble_two_sided(field_norm: float, sigmas: list[float],
                           upper=field_norm * upper_unit)
 
 
+#: How the face and wedge channels of the two-sided estimates are obtained.
+_SIGMA_SOURCE = ("sigma by Rayleigh-Ritz on a theta-adapted spectral basis "
+                 "(upper bound), also used at the lower end, which is "
+                 "therefore not a proven lower bound; wedges floored at "
+                 "c_floor")
+
+
 def _check_c_floor(c_floor: float) -> float:
     c = float(c_floor)
     if not (0.0 < c <= 1.0):
@@ -288,8 +361,7 @@ def _check_c_floor(c_floor: float) -> float:
     return c
 
 
-def cylinder_energy(field, section: Section, c_floor: float,
-                    grid2d: Grid2D | None = None) -> EnergyEstimate:
+def cylinder_energy(field, section: Section, c_floor: float) -> EnergyEstimate:
     """Two-sided estimate for the reference cylinder over a polygonal section.
 
     The cylinder ``w x R`` has tangent models: full space in the interior,
@@ -313,18 +385,16 @@ def cylinder_energy(field, section: Section, c_floor: float,
         if sub.kind == "side":
             nx, ny = sub.outward_normal
             th = _field_angle_to_plane(bhat, np.array([nx, ny, 0.0]))
-            sigmas.append(halfspace_sigma(th, grid2d))
+            sigmas.append(halfspace_sigma(th))
         elif sub.kind == "vertex":
             openings.append(sub.opening)
     return _assemble_two_sided(
         b.norm, sigmas, openings, c,
-        source="cylinder tangent models; sigma by finite differences with "
-               "Dirichlet truncation (upward bias), wedges floored at c_floor")
+        source="cylinder tangent models; " + _SIGMA_SOURCE)
 
 
 def essential_spectrum_limit(field, section: Section, epsilons,
-                             c_floor: float,
-                             grid2d: Grid2D | None = None
+                             c_floor: float
                              ) -> list[tuple[float, EnergyEstimate]]:
     """Two-sided essential-energy estimates for the cone over each ``eps * w``.
 
@@ -354,12 +424,10 @@ def essential_spectrum_limit(field, section: Section, epsilons,
         openings = cone_edge_openings(section, eps).tolist()
         thetas = np.arcsin(np.minimum(1.0, np.abs(cone_faces(section, eps)
                                                   @ bhat)))
-        sigmas = [halfspace_sigma(th, grid2d) for th in thetas.tolist()]
+        sigmas = [halfspace_sigma(th) for th in thetas.tolist()]
         out.append((eps, _assemble_two_sided(
             b.norm, sigmas, openings, c,
-            source=f"cone tangent models at eps={eps:g}; sigma by finite "
-                   "differences with Dirichlet truncation (upward bias), "
-                   "wedges floored at c_floor")))
+            source=f"cone tangent models at eps={eps:g}; " + _SIGMA_SOURCE)))
     return out
 
 

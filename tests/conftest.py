@@ -3,8 +3,12 @@
 The oracles here deliberately avoid the library's own algorithms: moments
 are integrated by tensor-product Gauss-Legendre rules assembled from
 scratch (triangle fan for polygons, polar grid for discs), so closed-form
-moment code is cross-checked against an independent route.
+moment code is cross-checked against an independent route; the half-plane
+energy ``sigma(theta)`` is cross-checked by finite differences against the
+library's spectral Rayleigh-Ritz solve.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -69,6 +73,43 @@ def quad_moments(section, order=24):
     x, y = pts[:, 0], pts[:, 1]
     return (float(np.sum(w)), float(np.sum(w * y * y)),
             float(np.sum(w * x * y)), float(np.sum(w * x * x)))
+
+
+# ---------------------------------------------------------------------------
+# half-plane energy by finite differences (independent of conebounds.models)
+
+def fd_halfspace_sigma(theta, s_half=10.0, t_max=20.0, n_s=159, n_t=160):
+    """Bottom of ``-d2/ds2 - d2/dt2 + (t cos - s sin)^2`` on ``t > 0``.
+
+    5-point finite differences on ``(-s_half, s_half) x [0, t_max)``,
+    Dirichlet on the artificial sides and Neumann at ``t = 0`` through a
+    mirror ghost node (symmetrized), solved by shift-invert Lanczos.  The
+    box does not follow ``theta``: below ~0.1 rad the mode at
+    ``s ~ sqrt(Theta_0 cos) / sin`` leaves it and the value is wrong.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import eigsh
+
+    hs = 2.0 * s_half / (n_s + 1)
+    ht = t_max / n_t
+    s = -s_half + hs * np.arange(1, n_s + 1)
+    t = ht * np.arange(n_t)  # t = 0 is the physical Neumann boundary
+    ls = sparse.diags([np.full(n_s - 1, -1.0 / hs ** 2),
+                       np.full(n_s, 2.0 / hs ** 2),
+                       np.full(n_s - 1, -1.0 / hs ** 2)], [-1, 0, 1])
+    off_t = np.full(n_t - 1, -1.0 / ht ** 2)
+    off_t[0] = -math.sqrt(2.0) / ht ** 2  # symmetrized Neumann coupling
+    lt = sparse.diags([off_t, np.full(n_t, 2.0 / ht ** 2), off_t], [-1, 0, 1])
+    ham = sparse.kron(sparse.identity(n_t), ls) \
+        + sparse.kron(lt, sparse.identity(n_s))
+    tt, ss = np.meshgrid(t, s, indexing="ij")
+    pot = (tt * math.cos(theta) - ss * math.sin(theta)) ** 2
+    ham = (ham + sparse.diags(pot.ravel())).tocsc()
+    # every off-diagonal entry is negative, so the ground state has one
+    # sign and the constant start vector overlaps it
+    val = eigsh(ham, k=1, sigma=0.0, which="LM", v0=np.ones(n_s * n_t),
+                return_eigenvectors=False)
+    return float(val[0])
 
 
 # ---------------------------------------------------------------------------

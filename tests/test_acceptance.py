@@ -20,8 +20,8 @@ from conebounds import (Disc, GridSpec, Polygon, TransverseGauge,
                         brute_force_gauge, concentration_threshold,
                         cone_quotient_consistency, cylinder_energy,
                         e_constant, essential_spectrum_limit,
-                        fd_halfline_spectrum, full_gauge, Grid2D,
-                        halfspace_sigma, moments, optimal_transverse_gauge,
+                        fd_halfline_spectrum, full_gauge, halfspace_sigma,
+                        moments, optimal_transverse_gauge,
                         projection_jacobian, rayleigh_upper_bounds,
                         robin_cone_upper_bound, robin_model_energy,
                         robin_scaling_exponent, scale_section,
@@ -33,9 +33,6 @@ UNIT_DISC = Disc(center=(0.0, 0.0), radius=1.0)
 SQUARE = Polygon([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
 TRIANGLE = Polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 AXIAL = (0.0, 0.0, 1.0)
-
-# box sized for the smallest face angle reached by the eps ladder below
-ESS_GRID = Grid2D(s_half=32.0, t_max=12.0, n_s=455, n_t=96)
 
 
 def check(num, ok, detail):
@@ -249,9 +246,8 @@ def test_criterion_11b_opening_deviation_decay():
 
 
 def test_criterion_11c_essential_estimates_converge():
-    pairs = essential_spectrum_limit(AXIAL, SQUARE, LADDER_11, 0.5,
-                                     grid2d=ESS_GRID)
-    cyl = cylinder_energy(AXIAL, SQUARE, 0.5, grid2d=ESS_GRID)
+    pairs = essential_spectrum_limit(AXIAL, SQUARE, LADDER_11, 0.5)
+    cyl = cylinder_energy(AXIAL, SQUARE, 0.5)
     devs = [abs(est.upper - cyl.upper) for _, est in pairs]
     ok = (all(a > b for a, b in zip(devs, devs[1:])) and devs[-1] <= 0.06
           and all(est.lower == pytest.approx(cyl.lower, rel=1e-14)

@@ -316,7 +316,7 @@ out = {"import": scipy_modules(), "codes": []}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         out["codes"].append(cli.run(argv))
-out["closed_form"] = scipy_modules()
+out["numpy_only"] = scipy_modules()
 buf = io.StringIO()
 with contextlib.redirect_stdout(buf):
     out["fd_code"] = cli.run(["spectrum1d", "--lam", "1", "--method", "fd"])
@@ -328,7 +328,8 @@ print(json.dumps(out))
 class TestImportCost:
     def test_closed_form_commands_do_not_load_scipy(self, capsys, disc_file,
                                                     square_file):
-        closed_form = [
+        # the closed-form commands and the spectral half-space energies
+        numpy_only = [
             ["moments", "--section", square_file],
             ["gauge", "--section", square_file],
             ["bound", "--section", disc_file, "--field", "0,0,1"],
@@ -339,20 +340,48 @@ class TestImportCost:
             ["sweep", "bound", "--section", disc_file, "--field", "0,0,1",
              "--eps", "1,0.5"],
             ["spectrum1d", "--lam", "1", "--method", "exact"],
+            ["model", "sigma", "--theta", "0.7"],
+            ["sweep", "sigma", "--thetas", "0.2,0.7"],
+            ["ess", "--section", square_file, "--field", "0.3,-0.4,0.8",
+             "--eps", "0.4,0.2", "--cfloor", "0.5"],
         ]
         src = os.path.dirname(os.path.dirname(conebounds.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
-            [sys.executable, "-c", _SCIPY_PROBE, json.dumps(closed_form)],
+            [sys.executable, "-c", _SCIPY_PROBE, json.dumps(numpy_only)],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
         assert out["import"] == []
-        assert out["codes"] == [0] * len(closed_form)
-        assert out["closed_form"] == []
+        assert out["codes"] == [0] * len(numpy_only)
+        assert out["numpy_only"] == []
         assert out["fd_code"] == 0
         code, report = run_cli(capsys, ["spectrum1d", "--lam", "1",
                                         "--method", "fd"])
         assert code == 0
         assert out["fd"] == report["result"]["eigenvalues"]
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The commands in the README's "Command line" code block."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line.split()[1:] for line in block.splitlines()
+            if line.startswith("conebounds ")]
+
+
+class TestReadme:
+    def test_command_line_examples_exit_zero(self, capsys, tmp_path,
+                                             monkeypatch):
+        (tmp_path / "disc.json").write_text(json.dumps(DISC_DOC))
+        (tmp_path / "square.json").write_text(json.dumps(SQUARE_DOC))
+        monkeypatch.chdir(tmp_path)
+        examples = readme_cli_examples()
+        assert len(examples) >= 10
+        codes = {" ".join(argv): run_cli(capsys, argv)[0]
+                 for argv in examples}
+        assert codes == {cmd: 0 for cmd in codes}

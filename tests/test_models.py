@@ -1,20 +1,20 @@
 """Model operators: de Gennes, half-space sigma, cylinders, cones, corners."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conebounds import (AccuracyWarning, Disc, DomainError, EnergyEstimate,
-                        Grid2D, GridSpec, Polygon, UsageError,
-                        concentration_threshold, cylinder_energy, degennes_mu,
-                        e_constant, essential_spectrum_limit, halfspace_sigma,
-                        theta0, theta0_detail, truncated_domain_edges,
-                        wedge_energy_upper)
-from conebounds.models import DEFAULT_GRID_2D, _sigma_cached
+from conebounds import (Disc, DomainError, EnergyEstimate, GridSpec, Polygon,
+                        UsageError, concentration_threshold, cylinder_energy,
+                        degennes_mu, e_constant, essential_spectrum_limit,
+                        halfspace_sigma, theta0, theta0_detail,
+                        truncated_domain_edges, wedge_energy_upper)
+from conebounds.models import (SHEAR_ANGLE, _sigma_cached,
+                               rayleigh_ritz_sigma, sigma_basis)
+from conftest import fd_halfspace_sigma
 
-# box sized for the smallest face angle in the eps ladders below
-ESS_GRID = Grid2D(s_half=32.0, t_max=12.0, n_s=455, n_t=96)
 # the centred square with a straight corner at (0, -1)
 FLAT_CORNER = [(-1, -1), (0, -1), (1, -1), (1, 1), (-1, 1)]
 
@@ -75,9 +75,20 @@ class TestTheta0:
         assert coarse == pytest.approx(fine, abs=5e-5)
 
 
+def born_oppenheimer(theta):
+    """``Theta_0 cos + sqrt(mu''(xi_0)/2) sin``, ``mu''`` by differences."""
+    det = theta0_detail()
+    d = 1e-2
+    mu2 = (degennes_mu(det.xi + d).mu - 2.0 * det.mu
+           + degennes_mu(det.xi - d).mu) / d ** 2
+    return det.mu * math.cos(theta) + math.sqrt(mu2 / 2.0) * math.sin(theta)
+
+
 class TestHalfspaceSigma:
     def test_normal_field(self):
         assert halfspace_sigma(math.pi / 2.0) == pytest.approx(1.0, abs=1e-2)
+        # the Dirichlet end at t_max = 60 costs (pi / 120)^2 = 6.9e-4
+        assert halfspace_sigma(math.pi / 2.0) <= 1.0 + 1e-3
 
     def test_tangent_field_delegates_to_theta0(self):
         assert halfspace_sigma(0.0) == theta0()
@@ -88,11 +99,9 @@ class TestHalfspaceSigma:
         assert halfspace_sigma(4e-17) == theta0()
 
     def test_uncached_solves_are_bitwise_equal(self):
-        # ARPACK starts from a random vector unless given one; the value
-        # then drifts in its last digits between solves
-        g = DEFAULT_GRID_2D
-        a, b = (_sigma_cached.__wrapped__(0.7, g.s_half, g.t_max, g.n_s, g.n_t)
-                for _ in range(2))
+        # a value that drifts in its last digits between solves would make
+        # reports differ between runs
+        a, b = (_sigma_cached.__wrapped__(0.7) for _ in range(2))
         assert a == b
 
     def test_monotone_on_nine_grid(self):
@@ -113,16 +122,49 @@ class TestHalfspaceSigma:
         with pytest.raises(DomainError):
             halfspace_sigma(math.pi / 2.0 + 0.1)
 
-    def test_small_angle_box_warning(self):
-        with pytest.warns(AccuracyWarning):
-            halfspace_sigma(0.01, Grid2D(s_half=10.0, t_max=20.0,
-                                         n_s=31, n_t=32))
+    @pytest.mark.parametrize("theta", [0.01, 0.05])
+    def test_small_angle_is_born_oppenheimer_without_warning(self, theta):
+        # a fixed s box used to lose the mode at s ~ sqrt(Theta_0) / theta
+        # here and warn; the basis now follows it.  Born-Oppenheimer:
+        # sigma ~ Theta_0 cos + sqrt(mu''(xi_0)/2) sin, error O(theta^2)
+        _sigma_cached.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = halfspace_sigma(theta)
+        assert abs(val - born_oppenheimer(theta)) <= 0.1 * theta ** 2 + 1e-5
 
-    def test_grid_validation(self):
-        with pytest.raises(UsageError):
-            Grid2D(s_half=-1.0)
-        with pytest.raises(UsageError):
-            Grid2D(n_s=4)
+    @pytest.mark.parametrize("theta", [0.01, 0.05, 0.2, SHEAR_ANGLE - 1e-9,
+                                       SHEAR_ANGLE, 0.5, 0.7, 0.9])
+    def test_doubling_the_basis_never_raises_the_value(self, theta):
+        # nested Rayleigh-Ritz spaces: the least value can only go down
+        kappa, centre, scale, t_max, n_x, n_t = sigma_basis(theta)
+        small = rayleigh_ritz_sigma(theta, kappa, centre, scale, t_max,
+                                    n_x, n_t)
+        big = rayleigh_ritz_sigma(theta, kappa, centre, scale, t_max,
+                                  2 * n_x, 2 * n_t)
+        assert small == halfspace_sigma(theta)
+        assert big <= small + 1e-12
+        assert small - big <= 1e-5
+
+    @pytest.mark.parametrize("theta", [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2,
+                                       0.3, 0.5, 0.7, 0.9, 1.2,
+                                       math.pi / 2.0])
+    def test_close_to_a_converged_reference(self, theta):
+        # 4x the basis and a 1.5x longer t interval
+        kappa, centre, scale, t_max, n_x, n_t = sigma_basis(theta)
+        ref = rayleigh_ritz_sigma(theta, kappa, centre, scale, 1.5 * t_max,
+                                  2 * n_x, 2 * n_t)
+        val = halfspace_sigma(theta)
+        assert val >= ref - 1e-8
+        assert val - ref <= (1e-4 if theta <= 0.9 else 2e-3)
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
+    def test_finite_difference_cross_check(self, theta):
+        # the default FD grid is off by ~1e-3 (upward) at these angles
+        assert abs(fd_halfspace_sigma(theta) - halfspace_sigma(theta)) <= 2e-3
+
+    def test_continuous_at_the_zero_snap(self):
+        assert abs(halfspace_sigma(2e-12) - halfspace_sigma(0.0)) <= 5e-6
 
 
 class TestEnergyEstimate:
@@ -240,11 +282,10 @@ class TestCylinderEnergy:
 
 class TestEssentialSpectrumLimit:
     def test_square_ladder_converges_to_cylinder(self, centered_square):
-        cyl = cylinder_energy((0, 0, 1), centered_square, c_floor=0.3,
-                              grid2d=ESS_GRID)
+        cyl = cylinder_energy((0, 0, 1), centered_square, c_floor=0.3)
         ladder = [0.4, 0.2, 0.1, 0.05]
         est = essential_spectrum_limit((0, 0, 1), centered_square, ladder,
-                                       c_floor=0.3, grid2d=ESS_GRID)
+                                       c_floor=0.3)
         assert [eps for eps, _ in est] == ladder
         devs = [abs(ee.upper - cyl.upper) for _, ee in est]
         assert all(a > b for a, b in zip(devs, devs[1:]))
@@ -256,11 +297,10 @@ class TestEssentialSpectrumLimit:
     def test_cube_root_envelope(self, centered_square):
         # qualitative rate: deviations under C eps^(1/3), C fitted at the
         # coarsest rung
-        cyl = cylinder_energy((0, 0, 1), centered_square, c_floor=0.3,
-                              grid2d=ESS_GRID)
+        cyl = cylinder_energy((0, 0, 1), centered_square, c_floor=0.3)
         ladder = [0.4, 0.2, 0.1, 0.05]
         est = essential_spectrum_limit((0, 0, 1), centered_square, ladder,
-                                       c_floor=0.3, grid2d=ESS_GRID)
+                                       c_floor=0.3)
         devs = [abs(ee.upper - cyl.upper) for _, ee in est]
         c_fit = devs[0] / ladder[0] ** (1.0 / 3.0) * 1.01
         for eps, dev in zip(ladder, devs):
@@ -277,14 +317,12 @@ class TestEssentialSpectrumLimit:
         assert est.upper == pytest.approx(want, abs=1e-12)
 
     def test_straight_corner_matches_square(self, centered_square):
-        # a coarse box, wide enough for the smallest face angle (0.06 rad)
-        grid = Grid2D(s_half=20.0, t_max=8.0, n_s=150, n_t=40)
         flat = Polygon(FLAT_CORNER)
         for field in ((0, 0, 1), (0.3, -0.4, 0.8)):
             want = essential_spectrum_limit(field, centered_square, [0.3, 0.1],
-                                            c_floor=0.3, grid2d=grid)
+                                            c_floor=0.3)
             got = essential_spectrum_limit(field, flat, [0.3, 0.1],
-                                           c_floor=0.3, grid2d=grid)
+                                           c_floor=0.3)
             for (eps_w, w), (eps_g, g) in zip(want, got):
                 assert eps_g == eps_w
                 assert g.lower == pytest.approx(w.lower, abs=1e-12)
