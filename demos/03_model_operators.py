@@ -29,7 +29,7 @@ print(f"strictly above 1/2: {det.mu > 0.5}, strictly below 1: {det.mu < 1.0}")
 # --- sigma(theta) -------------------------------------------------------------
 
 # theta = 0 is delegated to the 1D minimization; interior angles use a
-# sparse 2D discretization of the half plane.
+# Rayleigh-Ritz solve on a theta-adapted spectral basis of the half plane.
 print("\ntheta (deg)   sigma(theta)")
 thetas = np.linspace(0.0, math.pi / 2.0, 7)
 vals = [halfspace_sigma(th) for th in thetas]

@@ -12,16 +12,16 @@ analogue of the construction for the attractive Robin Laplacian.
 
 from .errors import (AccuracyError, AccuracyWarning, ConeBoundsError,
                      DomainError, GeometryError, SolverError, UsageError)
-from .gauge import (BoundResult, MagneticField, TransverseGauge,
-                    brute_force_gauge, e_constant, full_gauge,
-                    min_transverse_norm_sq, optimal_transverse_gauge,
-                    rayleigh_upper_bounds, reference_asymptotics)
+from .gauge import (BoundResult, MagneticField, TransverseGauge, e_constant,
+                    full_gauge, min_transverse_norm_sq,
+                    optimal_transverse_gauge, rayleigh_upper_bounds,
+                    reference_asymptotics)
 from .geometry import (Disc, Moments, Polygon, Section, centroid,
                        cone_edge_openings, cone_faces, disc_moments,
-                       interior_angle, moments, polygon_moments, project_P,
-                       projection_jacobian, scale_section, section_from_json,
-                       section_quadrature, section_to_json,
-                       spherical_vertex_opening, tangent_substructures)
+                       interior_angle, moments, polygon_moments,
+                       scale_section, section_from_json, section_quadrature,
+                       section_to_json, spherical_vertex_opening,
+                       tangent_substructures)
 from .halfline import (GridSpec, cone_quotient_consistency, default_grid,
                        exact_reduced_spectrum, fd_halfline_spectrum,
                        lambda_from_gauge, rayleigh_quotient_1d)
@@ -40,16 +40,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyError", "AccuracyWarning", "ConeBoundsError", "DomainError",
     "GeometryError", "SolverError", "UsageError",
-    "BoundResult", "MagneticField", "TransverseGauge", "brute_force_gauge",
-    "e_constant", "full_gauge", "min_transverse_norm_sq",
-    "optimal_transverse_gauge", "rayleigh_upper_bounds",
-    "reference_asymptotics",
+    "BoundResult", "MagneticField", "TransverseGauge", "e_constant",
+    "full_gauge", "min_transverse_norm_sq", "optimal_transverse_gauge",
+    "rayleigh_upper_bounds", "reference_asymptotics",
     "Disc", "Moments", "Polygon", "Section", "centroid", "cone_edge_openings",
     "cone_faces", "disc_moments",
-    "interior_angle", "moments", "polygon_moments", "project_P",
-    "projection_jacobian", "scale_section", "section_from_json",
-    "section_quadrature", "section_to_json", "spherical_vertex_opening",
-    "tangent_substructures",
+    "interior_angle", "moments", "polygon_moments", "scale_section",
+    "section_from_json", "section_quadrature", "section_to_json",
+    "spherical_vertex_opening", "tangent_substructures",
     "GridSpec", "cone_quotient_consistency", "default_grid",
     "exact_reduced_spectrum", "fd_halfline_spectrum", "lambda_from_gauge",
     "rayleigh_quotient_1d",

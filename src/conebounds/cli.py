@@ -10,6 +10,14 @@ Floating point numbers are serialized with 17 significant digits so they
 round-trip exactly; non-finite values appear as the strings "inf", "-inf",
 "nan".
 
+Each command is one row of :data:`COMMANDS`, keyed by its dotted name
+(``"robin.scaling"`` is ``conebounds robin scaling``).  The row gives the
+command's options, its handler and its provenance; the parser, the
+``RunConfig`` built from the parsed arguments, the required-field check
+and the dispatch are all read off the table.  Options, ``--strict``
+included, follow the subcommand.  Only the sweep commands (``ess``,
+``sweep bound``, ``sweep sigma``) take ``--csv`` and ``--quantity``.
+
 The closed-form commands (``moments``, ``gauge``, ``bound``,
 ``concentrate``, ``edges``, ``robin wedge``, ``sweep bound``, exact
 ``spectrum1d``) and the half-space energies (``model sigma``, ``sweep
@@ -36,6 +44,7 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -141,22 +150,41 @@ def emit_plot_data(report: dict, quantity: str) -> str:
                          f"available: {sorted(rows[0])}")
     lines = [f"{key},{quantity}"]
     for r in rows:
-        lines.append(f"{format(float(r[key]), '.17g')},"
-                     f"{format(float(r[quantity]), '.17g')}")
+        try:
+            lines.append(f"{format(float(r[key]), '.17g')},"
+                         f"{format(float(r[quantity]), '.17g')}")
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"quantity {quantity!r} is not numeric: "
+                             f"{r[quantity]!r}") from exc
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table
 
-def _parse_floats(text: str, what: str) -> tuple[float, ...]:
-    try:
-        vals = tuple(float(p) for p in text.split(",") if p != "")
-    except ValueError as exc:
-        raise UsageError(f"cannot parse {what}: {text!r}") from exc
-    if not vals:
-        raise UsageError(f"empty {what}")
-    return vals
+class Option:
+    """A command-line flag, the ``RunConfig`` field it fills, a conversion
+    applied to the parsed value (``None`` keeps it), and argparse keywords.
+    A flag with ``required=True`` names a field its command cannot run
+    without, from the command line or from a config."""
+
+    def __init__(self, flag: str, field: str, convert=None, **kw):
+        self.flag, self.field, self.convert, self.kw = flag, field, convert, kw
+
+
+def _floats(what: str, count: str | None = None) -> Callable:
+    """Converter for a comma-separated list of floats, ``count`` of them."""
+    def convert(text: str) -> tuple[float, ...]:
+        try:
+            vals = tuple(float(p) for p in text.split(",") if p != "")
+        except ValueError as exc:
+            raise UsageError(f"cannot parse {what}: {text!r}") from exc
+        if not vals:
+            raise UsageError(f"empty {what}")
+        if count is not None and len(vals) != {"two": 2, "three": 3}[count]:
+            raise UsageError(f"{what} needs exactly {count} components")
+        return vals
+    return convert
 
 
 def _load_section_arg(path: str) -> dict:
@@ -169,151 +197,24 @@ def _load_section_arg(path: str) -> dict:
         raise UsageError(f"section file is not valid JSON: {exc}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--strict", action="store_true",
-                        help="escalate accuracy warnings to exit code 4")
-    common.add_argument("--csv", dest="csv_path", default=None,
-                        help="write sweep rows as CSV to this path")
-    common.add_argument("--quantity", default=None,
-                        help="column to export with --csv")
+_STRICT = Option("--strict", "strict",
+                 lambda v: v or os.environ.get("CONEBOUNDS_STRICT") == "1",
+                 action="store_true",
+                 help="escalate accuracy warnings to exit code 4")
+_CSV = (Option("--csv", "csv_path", help="write sweep rows to this CSV file"),
+        Option("--quantity", "quantity", help="column to export with --csv"))
+_SECTION = Option("--section", "section", _load_section_arg, required=True)
+_FIELD = Option("--field", "field_components", _floats("field", "three"),
+                required=True, help="b1,b2,b3")
+_N = Option("--n", "n_max", type=int, default=3)
+_EPS_LIST = Option("--eps", "epsilons", _floats("eps list"), required=True,
+                   help="list e1,e2,...")
+_CFLOOR = Option("--cfloor", "c_floor", type=float, required=True)
+_AXIS = Option("--axis", "axis", _floats("axis", "two"),
+               help="x,y (default: centroid)")
 
-    ap = argparse.ArgumentParser(
-        prog="conebounds",
-        description="Eigenvalue upper bounds for sharp magnetic cones",
-        parents=[common])
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("moments", parents=[common],
-                       help="area and second moments of a section")
-    p.add_argument("--section", required=True)
-
-    p = sub.add_parser("gauge", parents=[common],
-                       help="optimal transverse gauge of a section")
-    p.add_argument("--section", required=True)
-
-    p = sub.add_parser("bound", parents=[common],
-                       help="eigenvalue upper bounds (4n-1)e")
-    p.add_argument("--section", required=True)
-    p.add_argument("--field", required=True, help="b1,b2,b3")
-    p.add_argument("--n", dest="n_max", type=int, default=3)
-
-    p = sub.add_parser("spectrum1d", parents=[common],
-                       help="reduced half-line spectrum")
-    p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--n", dest="n_max", type=int, default=3)
-    p.add_argument("--method", choices=("exact", "fd"), default="exact")
-    p.add_argument("--xmax", type=float, default=None)
-    p.add_argument("--npoints", type=int, default=None)
-
-    p = sub.add_parser("model", help="model operator constants")
-    msub = p.add_subparsers(dest="model_command", required=True)
-    msub.add_parser("theta0", parents=[common], help="de Gennes constant")
-    ps = msub.add_parser("sigma", parents=[common],
-                         help="half-space energy at field angle theta")
-    ps.add_argument("--theta", type=float, required=True)
-
-    p = sub.add_parser("ess", parents=[common],
-                       help="essential-energy estimates along a ladder")
-    p.add_argument("--section", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--eps", required=True, help="decreasing list e1,e2,...")
-    p.add_argument("--cfloor", type=float, required=True)
-
-    p = sub.add_parser("concentrate", parents=[common],
-                       help="corner-concentration threshold")
-    p.add_argument("--section", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--cfloor", type=float, required=True)
-    p.add_argument("--eps", type=float, default=None,
-                   help="also report the verdict at this sharpness")
-
-    p = sub.add_parser("edges", parents=[common],
-                       help="edge openings of the truncated cone")
-    p.add_argument("--section", required=True)
-    p.add_argument("--eps", type=float, required=True)
-
-    p = sub.add_parser("robin", help="attractive Robin analogue")
-    rsub = p.add_subparsers(dest="robin_command", required=True)
-    pw = rsub.add_parser("wedge", parents=[common], help="exact wedge energy")
-    pw.add_argument("--alpha", type=float, required=True)
-    pc = rsub.add_parser("cone", parents=[common],
-                         help="cone upper bound from the polar profile")
-    pc.add_argument("--section", required=True)
-    pc.add_argument("--axis", default=None, help="x,y (default: centroid)")
-    pr = rsub.add_parser("scaling", parents=[common],
-                         help="log-log scaling exponent")
-    pr.add_argument("--section", required=True)
-    pr.add_argument("--eps", required=True, help="list spanning a decade")
-    pr.add_argument("--axis", default=None)
-
-    p = sub.add_parser("sweep", help="tabulate a quantity over a parameter")
-    ssub = p.add_subparsers(dest="sweep_command", required=True)
-    pb = ssub.add_parser("bound", parents=[common],
-                         help="e(B, eps*w) along a ladder")
-    pb.add_argument("--section", required=True)
-    pb.add_argument("--field", required=True)
-    pb.add_argument("--eps", required=True)
-    pb.add_argument("--n", dest="n_max", type=int, default=1)
-    pg = ssub.add_parser("sigma", parents=[common],
-                         help="sigma(theta) on a grid")
-    pg.add_argument("--thetas", required=True)
-
-    return ap
-
-
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    cmd = ns.command
-    if cmd == "model":
-        cmd = f"model.{ns.model_command}"
-    elif cmd == "robin":
-        cmd = f"robin.{ns.robin_command}"
-    elif cmd == "sweep":
-        cmd = f"sweep.{ns.sweep_command}"
-    cfg = RunConfig(command=cmd,
-                    strict=bool(ns.strict
-                                or os.environ.get("CONEBOUNDS_STRICT") == "1"),
-                    csv_path=ns.csv_path, quantity=ns.quantity)
-    if getattr(ns, "section", None) is not None:
-        cfg.section = _load_section_arg(ns.section)
-    if getattr(ns, "field", None) is not None:
-        vals = _parse_floats(ns.field, "field")
-        if len(vals) != 3:
-            raise UsageError("field needs exactly three components")
-        cfg.field_components = vals
-    for name, attr in (("n_max", "n_max"), ("lam", "lam"),
-                       ("method", "method"), ("x_max", "xmax"),
-                       ("n_points", "npoints"), ("theta", "theta"),
-                       ("alpha", "alpha"), ("c_floor", "cfloor")):
-        if getattr(ns, attr, None) is not None:
-            setattr(cfg, name, getattr(ns, attr))
-    if cfg.command in ("ess", "robin.scaling", "sweep.bound"):
-        cfg.epsilons = _parse_floats(ns.eps, "eps list")
-    elif getattr(ns, "eps", None) is not None:
-        cfg.eps = float(ns.eps)
-    if getattr(ns, "thetas", None) is not None:
-        cfg.thetas = _parse_floats(ns.thetas, "theta list")
-    if getattr(ns, "axis", None) is not None:
-        vals = _parse_floats(ns.axis, "axis")
-        if len(vals) != 2:
-            raise UsageError("axis needs exactly two components")
-        cfg.axis = vals
-    return cfg
-
-
-# ---------------------------------------------------------------------------
-# command execution
-
-def _need(cfg: RunConfig, attr: str, what: str):
-    val = getattr(cfg, attr)
-    if val is None:
-        raise UsageError(f"{cfg.command} needs {what}")
-    return val
-
-
-def _section_of(cfg: RunConfig):
-    return section_from_json(_need(cfg, "section", "a section"))
-
+# The handlers below return a command's result payload.  They call the
+# library through this module's globals, never through a stored reference.
 
 def _sigma_provenance(thetas) -> list[str]:
     """Tags for ``sigma`` values: Rayleigh-Ritz upper bounds, FD at angle 0."""
@@ -325,6 +226,202 @@ def _sigma_provenance(thetas) -> list[str]:
     return tags + ["upper-bound"]
 
 
+def _gauge(cfg: RunConfig) -> dict:
+    section = section_from_json(cfg.section)
+    g = optimal_transverse_gauge(section)
+    return {"gauge": [[g.a, g.b], [g.c, g.d]], "curl": g.curl,
+            "transverseNormSq": min_transverse_norm_sq(section)}
+
+
+def _spectrum1d(cfg: RunConfig) -> dict:
+    if cfg.method == "exact":
+        vals = exact_reduced_spectrum(cfg.lam, n_max=cfg.n_max)
+    else:
+        grid = None
+        if cfg.x_max is not None or cfg.n_points is not None:
+            if cfg.x_max is None or cfg.n_points is None:
+                raise UsageError("--xmax and --npoints go together")
+            grid = GridSpec(x_max=cfg.x_max, n=cfg.n_points)
+        vals = fd_halfline_spectrum(cfg.lam, grid=grid, n_max=cfg.n_max)
+    return {"lam": cfg.lam, "method": cfg.method,
+            "eigenvalues": [float(v) for v in vals],
+            "provenance": ["exact" if cfg.method == "exact" else "FD"]}
+
+
+def _theta0(cfg: RunConfig) -> dict:
+    det = theta0_detail()
+    return {"theta0": det.mu, "xiStar": det.xi}
+
+
+def _concentrate(cfg: RunConfig) -> dict:
+    thr = concentration_threshold(cfg.field_components,
+                                  section_from_json(cfg.section), cfg.c_floor)
+    # provenance is set here so that it precedes the optional verdict
+    out = {"epsilonStar": thr.epsilon_star, "floorUsed": thr.floor_used,
+           "e": thr.e, "degenerate": thr.degenerate, "provenance": ["exact"]}
+    if cfg.eps is not None:
+        v = thr(cfg.eps)
+        out["verdict"] = {"epsilon": v.epsilon, "vertexBound": v.vertex_bound,
+                          "holds": v.holds}
+    return out
+
+
+def _edges(cfg: RunConfig) -> dict:
+    rep = truncated_domain_edges(section_from_json(cfg.section), cfg.eps)
+    return {"eps": rep.eps,
+            "lateral": [{"vertex": i, "opening": op} for i, op in rep.lateral],
+            "top": [{"edge": i, "opening": op} for i, op in rep.top],
+            "beta0": rep.beta0}
+
+
+def _sweep_bound(cfg: RunConfig) -> dict:
+    section = section_from_json(cfg.section)
+    rows = []
+    for eps in cfg.epsilons:
+        res = rayleigh_upper_bounds(cfg.field_components,
+                                    scale_section(section, eps),
+                                    n_max=cfg.n_max)
+        rows.append({"eps": eps, "e": res.e,
+                     **{f"bound{n}": b for n, b in res.bounds}})
+    return {"sweepKey": "eps", "rows": rows}
+
+
+def _profile(cfg: RunConfig) -> BoundaryProfile:
+    return BoundaryProfile.from_section(section_from_json(cfg.section),
+                                        axis=cfg.axis)
+
+
+class Command(NamedTuple):
+    """One CLI command.  ``provenance`` is appended to the handler's payload
+    when it is fixed; a handler sets it itself when it varies or must come
+    before a later key.  ``csv`` is the default ``--csv`` column of a sweep
+    command; only commands that have one take ``--csv`` and ``--quantity``."""
+
+    help: str
+    options: tuple[Option, ...]
+    run: Callable[[RunConfig], dict]
+    provenance: tuple[str, ...] | None = None
+    csv: str | None = None
+
+
+#: Help text of the command groups, whose leaves are dotted names below.
+GROUPS = {"model": "model operator constants",
+          "robin": "attractive Robin analogue",
+          "sweep": "tabulate a quantity over a parameter"}
+
+COMMANDS: dict[str, Command] = {
+    "moments": Command(
+        "area and second moments of a section", (_SECTION,),
+        lambda cfg: moments(section_from_json(cfg.section)).as_dict(),
+        ("exact",)),
+    "gauge": Command("optimal transverse gauge of a section", (_SECTION,),
+                     _gauge, ("exact",)),
+    "bound": Command(
+        "eigenvalue upper bounds (4n-1)e", (_SECTION, _FIELD, _N),
+        lambda cfg: rayleigh_upper_bounds(
+            cfg.field_components, section_from_json(cfg.section),
+            n_max=cfg.n_max).to_json_dict(),
+        ("exact", "upper-bound")),
+    "spectrum1d": Command(
+        "reduced half-line spectrum",
+        (Option("--lam", "lam", type=float, required=True), _N,
+         Option("--method", "method", choices=("exact", "fd"),
+                default="exact"),
+         Option("--xmax", "x_max", type=float),
+         Option("--npoints", "n_points", type=int)),
+        _spectrum1d),
+    "model.theta0": Command("de Gennes constant", (), _theta0, ("FD",)),
+    "model.sigma": Command(
+        "half-space energy at field angle theta",
+        (Option("--theta", "theta", type=float, required=True),),
+        lambda cfg: {"theta": cfg.theta, "sigma": halfspace_sigma(cfg.theta),
+                     "provenance": _sigma_provenance([cfg.theta])}),
+    "ess": Command(
+        "essential-energy estimates along a ladder",
+        (_SECTION, _FIELD, _EPS_LIST, _CFLOOR),
+        lambda cfg: {"sweepKey": "eps", "rows": [
+            dict(eps=eps, **est.to_json_dict())
+            for eps, est in essential_spectrum_limit(
+                cfg.field_components, section_from_json(cfg.section),
+                cfg.epsilons, cfg.c_floor)]},
+        ("Rayleigh-Ritz", "FD", "upper-bound", "lower-bound"), csv="upper"),
+    "concentrate": Command(
+        "corner-concentration threshold",
+        (_SECTION, _FIELD, _CFLOOR,
+         Option("--eps", "eps", type=float,
+                help="also report the verdict at this sharpness")),
+        _concentrate),
+    "edges": Command(
+        "edge openings of the truncated cone",
+        (_SECTION, Option("--eps", "eps", type=float, required=True)),
+        _edges, ("exact",)),
+    "robin.wedge": Command(
+        "exact wedge energy",
+        (Option("--alpha", "alpha", type=float, required=True),),
+        lambda cfg: {"alpha": cfg.alpha,
+                     "energy": robin_model_energy("wedge", cfg.alpha)},
+        ("exact",)),
+    "robin.cone": Command(
+        "cone upper bound from the polar profile", (_SECTION, _AXIS),
+        lambda cfg: {"bound": robin_cone_upper_bound(_profile(cfg)),
+                     "axis": None if cfg.axis is None else list(cfg.axis)},
+        ("quadrature", "upper-bound")),
+    "robin.scaling": Command(
+        "log-log scaling exponent", (_SECTION, _EPS_LIST, _AXIS),
+        lambda cfg: {"epsilons": list(cfg.epsilons), "exponent":
+                     robin_scaling_exponent(_profile(cfg), cfg.epsilons)},
+        ("quadrature",)),
+    "sweep.bound": Command(
+        "e(B, eps*w) along a ladder",
+        (_SECTION, _FIELD, _EPS_LIST,
+         Option("--n", "n_max", type=int, default=1)),
+        _sweep_bound, ("exact", "upper-bound"), csv="e"),
+    "sweep.sigma": Command(
+        "sigma(theta) on a grid",
+        (Option("--thetas", "thetas", _floats("theta list"), required=True),),
+        lambda cfg: {"sweepKey": "theta",
+                     "rows": [{"theta": th, "sigma": halfspace_sigma(th)}
+                              for th in cfg.thetas],
+                     "provenance": _sigma_provenance(cfg.thetas)},
+        csv="sigma"),
+}
+
+
+def _options(cmd: Command) -> tuple[Option, ...]:
+    """Every option of a command, the shared ones first."""
+    return (_STRICT,) + (_CSV if cmd.csv else ()) + cmd.options
+
+
+# ---------------------------------------------------------------------------
+# parsing and dispatch, read off the table
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="conebounds", description=(
+        "Eigenvalue upper bounds for sharp magnetic cones"))
+    sub = ap.add_subparsers(dest="command", required=True)
+    groups = {}
+    for name, cmd in COMMANDS.items():
+        group, _, leaf = name.rpartition(".")
+        if group and group not in groups:
+            groups[group] = sub.add_parser(
+                group, help=GROUPS[group]).add_subparsers(dest="command",
+                                                          required=True)
+        p = (groups[group] if group else sub).add_parser(leaf, help=cmd.help)
+        p.set_defaults(command=name)
+        for opt in _options(cmd):
+            p.add_argument(opt.flag, dest=opt.field, **opt.kw)
+    return ap
+
+
+def config_from_args(ns: argparse.Namespace) -> RunConfig:
+    cfg = RunConfig(command=ns.command)
+    for opt in _options(COMMANDS[ns.command]):
+        val = getattr(ns, opt.field)
+        if val is not None:
+            setattr(cfg, opt.field, opt.convert(val) if opt.convert else val)
+    return cfg
+
+
 def execute_config(cfg: RunConfig) -> dict:
     """Run one configured command and return its result payload.
 
@@ -334,113 +431,16 @@ def execute_config(cfg: RunConfig) -> dict:
     eigenvalue ("Rayleigh-Ritz"), and whether they bound the true quantity
     from one side ("upper-bound" / "lower-bound").
     """
-    cmd = cfg.command
-    if cmd == "moments":
-        out = moments(_section_of(cfg)).as_dict()
-        out["provenance"] = ["exact"]
-        return out
-    if cmd == "gauge":
-        section = _section_of(cfg)
-        g = optimal_transverse_gauge(section)
-        return {"gauge": [[g.a, g.b], [g.c, g.d]],
-                "curl": g.curl,
-                "transverseNormSq": min_transverse_norm_sq(section),
-                "provenance": ["exact"]}
-    if cmd == "bound":
-        res = rayleigh_upper_bounds(_need(cfg, "field_components", "a field"),
-                                    _section_of(cfg), n_max=cfg.n_max)
-        out = res.to_json_dict()
-        out["provenance"] = ["exact", "upper-bound"]
-        return out
-    if cmd == "spectrum1d":
-        lam = _need(cfg, "lam", "--lam")
-        if cfg.method == "exact":
-            vals = exact_reduced_spectrum(lam, n_max=cfg.n_max)
-            tags = ["exact"]
-        else:
-            grid = None
-            if cfg.x_max is not None or cfg.n_points is not None:
-                if cfg.x_max is None or cfg.n_points is None:
-                    raise UsageError("--xmax and --npoints go together")
-                grid = GridSpec(x_max=cfg.x_max, n=cfg.n_points)
-            vals = fd_halfline_spectrum(lam, grid=grid, n_max=cfg.n_max)
-            tags = ["FD"]
-        return {"lam": lam, "method": cfg.method,
-                "eigenvalues": [float(v) for v in vals],
-                "provenance": tags}
-    if cmd == "model.theta0":
-        det = theta0_detail()
-        return {"theta0": det.mu, "xiStar": det.xi, "provenance": ["FD"]}
-    if cmd == "model.sigma":
-        th = _need(cfg, "theta", "--theta")
-        return {"theta": th, "sigma": halfspace_sigma(th),
-                "provenance": _sigma_provenance([th])}
-    if cmd == "ess":
-        pairs = essential_spectrum_limit(
-            _need(cfg, "field_components", "a field"), _section_of(cfg),
-            _need(cfg, "epsilons", "an eps ladder"),
-            _need(cfg, "c_floor", "--cfloor"))
-        return {"sweepKey": "eps",
-                "rows": [dict(eps=eps, **est.to_json_dict())
-                         for eps, est in pairs],
-                "provenance": ["Rayleigh-Ritz", "FD", "upper-bound",
-                               "lower-bound"]}
-    if cmd == "concentrate":
-        thr = concentration_threshold(
-            _need(cfg, "field_components", "a field"), _section_of(cfg),
-            _need(cfg, "c_floor", "--cfloor"))
-        out = {"epsilonStar": thr.epsilon_star, "floorUsed": thr.floor_used,
-               "e": thr.e, "degenerate": thr.degenerate,
-               "provenance": ["exact"]}
-        if cfg.eps is not None:
-            v = thr(cfg.eps)
-            out["verdict"] = {"epsilon": v.epsilon,
-                              "vertexBound": v.vertex_bound,
-                              "holds": v.holds}
-        return out
-    if cmd == "edges":
-        rep = truncated_domain_edges(_section_of(cfg),
-                                     _need(cfg, "eps", "--eps"))
-        return {"eps": rep.eps,
-                "lateral": [{"vertex": i, "opening": op}
-                            for i, op in rep.lateral],
-                "top": [{"edge": i, "opening": op} for i, op in rep.top],
-                "beta0": rep.beta0,
-                "provenance": ["exact"]}
-    if cmd == "robin.wedge":
-        alpha = _need(cfg, "alpha", "--alpha")
-        return {"alpha": alpha, "energy": robin_model_energy("wedge", alpha),
-                "provenance": ["exact"]}
-    if cmd == "robin.cone":
-        profile = BoundaryProfile.from_section(_section_of(cfg), axis=cfg.axis)
-        return {"bound": robin_cone_upper_bound(profile),
-                "axis": list(cfg.axis) if cfg.axis is not None else None,
-                "provenance": ["quadrature", "upper-bound"]}
-    if cmd == "robin.scaling":
-        profile = BoundaryProfile.from_section(_section_of(cfg), axis=cfg.axis)
-        eps = _need(cfg, "epsilons", "an eps list")
-        return {"epsilons": list(eps),
-                "exponent": robin_scaling_exponent(profile, eps),
-                "provenance": ["quadrature"]}
-    if cmd == "sweep.bound":
-        section = _section_of(cfg)
-        fld = _need(cfg, "field_components", "a field")
-        rows = []
-        for eps in _need(cfg, "epsilons", "an eps list"):
-            res = rayleigh_upper_bounds(fld, scale_section(section, eps),
-                                        n_max=cfg.n_max)
-            row = {"eps": eps, "e": res.e}
-            for n, b in res.bounds:
-                row[f"bound{n}"] = b
-            rows.append(row)
-        return {"sweepKey": "eps", "rows": rows,
-                "provenance": ["exact", "upper-bound"]}
-    if cmd == "sweep.sigma":
-        thetas = _need(cfg, "thetas", "a theta list")
-        rows = [{"theta": th, "sigma": halfspace_sigma(th)} for th in thetas]
-        return {"sweepKey": "theta", "rows": rows,
-                "provenance": _sigma_provenance(thetas)}
-    raise UsageError(f"unknown command {cfg.command!r}")
+    cmd = COMMANDS.get(cfg.command)
+    if cmd is None:
+        raise UsageError(f"unknown command {cfg.command!r}")
+    for opt in cmd.options:
+        if opt.kw.get("required") and getattr(cfg, opt.field) is None:
+            raise UsageError(f"{cfg.command} needs {opt.flag}")
+    out = cmd.run(cfg)
+    if cmd.provenance is not None:
+        out["provenance"] = list(cmd.provenance)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -485,23 +485,20 @@ def _error_report(cfg: RunConfig, kind: str, message: str) -> dict:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
         cfg = config_from_args(ns)
     except UsageError as exc:
-        stub = RunConfig(command=getattr(ns, "command", "?") or "?")
-        print(dumps_report(_error_report(stub, "parse", str(exc))))
+        print(dumps_report(_error_report(RunConfig(command=ns.command),
+                                         "parse", str(exc))))
         return 2
     report, code = run_config(cfg)
     print(dumps_report(report))
     if code == 0 and cfg.csv_path is not None:
-        defaults = {"sweep.bound": "e", "sweep.sigma": "sigma",
-                    "ess": "upper"}
-        quantity = cfg.quantity or defaults.get(cfg.command, "")
+        quantity = cfg.quantity or COMMANDS[cfg.command].csv
         try:
             csv_text = emit_plot_data(report, quantity)
         except UsageError as exc:

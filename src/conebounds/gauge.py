@@ -25,10 +25,9 @@ terms are the forced vertical component ``A3 = B1 x2 - B2 x1``, whose
 L2 norm no gauge freedom can reduce.  ``e`` is a norm in ``B`` and is
 homogeneous of degree one under dilation of the section.
 
-``brute_force_gauge`` solves the same minimization with no closed form
-at all (finite differences of the quadratic objective and a direct
-3x3 solve); it exists so the closed form can be checked against an
-independent route and should agree to near machine precision.
+The test suite checks the closed form against an independent route, a
+finite-difference solve of the same normal equations
+(``tests/conftest.py::brute_force_gauge``), to near machine precision.
 """
 
 from __future__ import annotations
@@ -118,34 +117,6 @@ def min_transverse_norm_sq(m: Moments | Section) -> float:
     """Minimum of ``int_w |A'|^2`` over unit-curl gauges: ``(M0 M2 - M1^2)/(M0 + M2)``."""
     mm = _require_moments(m)
     return (mm.M0 * mm.M2 - mm.M1 * mm.M1) / (mm.M0 + mm.M2)
-
-
-def brute_force_gauge(m: Moments | Section) -> TransverseGauge:
-    """Minimize the gauge norm numerically, without the closed form.
-
-    Parametrize the unit-curl constraint as ``[[t0, t1], [1 + t1, t2]]``
-    and minimize ``f(t) = int_w |A'|^2``.  Because ``f`` is quadratic,
-    finite differences with unit step recover its Hessian and gradient
-    exactly, and the stationary point comes from one 3x3 linear solve.
-    """
-    mm = _require_moments(m)
-
-    def f(t) -> float:
-        return TransverseGauge(t[0], t[1], 1.0 + t[1], t[2]).norm_sq_over(mm)
-
-    eye = np.eye(3)
-    f0 = f(np.zeros(3))
-    grad = np.array([(f(eye[i]) - f(-eye[i])) / 2.0 for i in range(3)])
-    hess = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            hess[i, j] = f(eye[i] + eye[j]) - f(eye[i]) - f(eye[j]) + f0
-    try:
-        t = np.linalg.solve(hess, -grad)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError(f"normal equations are singular: {exc}") from exc
-    return TransverseGauge(a=float(t[0]), b=float(t[1]),
-                           c=1.0 + float(t[1]), d=float(t[2]))
 
 
 def e_constant(field, m: Moments | Section) -> float:

@@ -13,11 +13,11 @@ so no quadrature error enters the bounds.
 
 The module also carries the geometric bookkeeping needed by the spectral
 estimates: tangent substructures of a section (interior, one half-plane per
-edge, one wedge per corner), the radial projection used to compare a sharp
-cone with a thin cylinder, the outward normals of the lateral cone faces,
+edge, one wedge per corner), the outward normals of the lateral cone faces,
 and from them the opening of the tangent wedge along a cone edge (a
 dihedral angle, equal to the interior angle of the spherical section at the
-corresponding vertex).
+corresponding vertex).  The radial projection that compares a sharp cone
+with a thin cylinder lives with the tests (``tests/conftest.py::project_P``).
 
 Conventions: angles in radians, vertices normalized to counterclockwise
 order, no implicit recentring of sections.  A separate helper reports the
@@ -391,39 +391,7 @@ def tangent_substructures(polygon: Polygon) -> list[TangentSubstructure]:
 
 
 # ---------------------------------------------------------------------------
-# radial projection and cone-edge openings
-
-def project_P(xp, t: float) -> np.ndarray:
-    """Map ``(x', t)`` to the point at distance ``t`` on the ray through ``(x', 1)``.
-
-    This is the radial graph parametrization of the cone over the section:
-    ``P(x', t) = t * (x'_1, x'_2, 1) / |(x'_1, x'_2, 1)|``.  At ``x' = 0``
-    its Jacobian is the identity, and the deviation from the identity grows
-    linearly with ``|x'|``; that is what makes a sharp cone comparable to a
-    thin cylinder.
-    """
-    x = np.asarray(xp, dtype=float)
-    if x.shape != (2,):
-        raise UsageError("x' must be a plane point")
-    tt = float(t)
-    if not (tt > 0.0) or not math.isfinite(tt):
-        raise GeometryError("t must be positive")
-    s = math.sqrt(1.0 + x[0] * x[0] + x[1] * x[1])
-    return np.array([tt * x[0] / s, tt * x[1] / s, tt / s])
-
-
-def projection_jacobian(xp, t: float = 1.0, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of :func:`project_P` at ``(x', t)``."""
-    x0 = np.asarray(xp, dtype=float)
-    jac = np.zeros((3, 3))
-    for j in range(3):
-        dp = np.zeros(3)
-        dp[j] = step
-        up = project_P(x0 + dp[:2], t + dp[2])
-        dn = project_P(x0 - dp[:2], t - dp[2])
-        jac[:, j] = (up - dn) / (2.0 * step)
-    return jac
-
+# cone faces and cone-edge openings
 
 def cone_faces(polygon: Polygon, eps: float) -> np.ndarray:
     """Outward unit normals of the lateral faces of the cone over ``eps * polygon``.

@@ -3,9 +3,12 @@
 The oracles here deliberately avoid the library's own algorithms: moments
 are integrated by tensor-product Gauss-Legendre rules assembled from
 scratch (triangle fan for polygons, polar grid for discs), so closed-form
-moment code is cross-checked against an independent route; the half-plane
-energy ``sigma(theta)`` is cross-checked by finite differences against the
-library's spectral Rayleigh-Ritz solve.
+moment code is cross-checked against an independent route; the optimal
+gauge is recomputed from finite differences of its quadratic objective;
+the half-plane energy ``sigma(theta)`` is cross-checked by finite
+differences against the library's spectral Rayleigh-Ritz solve; and the
+radial projection of the cone onto a thin cylinder, with its Jacobian,
+gives the cone-versus-cylinder deviation checks.
 """
 
 import math
@@ -14,7 +17,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from conebounds import Disc, Polygon
+from conebounds import (Disc, DomainError, GeometryError, Moments, Polygon,
+                        TransverseGauge, UsageError, moments)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +77,72 @@ def quad_moments(section, order=24):
     x, y = pts[:, 0], pts[:, 1]
     return (float(np.sum(w)), float(np.sum(w * y * y)),
             float(np.sum(w * x * y)), float(np.sum(w * x * x)))
+
+
+# ---------------------------------------------------------------------------
+# optimal gauge by its normal equations (independent of the closed form)
+
+def brute_force_gauge(m) -> TransverseGauge:
+    """Minimize the gauge norm numerically, without the closed form.
+
+    Parametrize the unit-curl constraint as ``[[t0, t1], [1 + t1, t2]]``
+    and minimize ``f(t) = int_w |A'|^2``.  Because ``f`` is quadratic,
+    finite differences with unit step recover its Hessian and gradient
+    exactly, and the stationary point comes from one 3x3 linear solve.
+    """
+    mm = m if isinstance(m, Moments) else moments(m)
+
+    def f(t) -> float:
+        return TransverseGauge(t[0], t[1], 1.0 + t[1], t[2]).norm_sq_over(mm)
+
+    eye = np.eye(3)
+    f0 = f(np.zeros(3))
+    grad = np.array([(f(eye[i]) - f(-eye[i])) / 2.0 for i in range(3)])
+    hess = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            hess[i, j] = f(eye[i] + eye[j]) - f(eye[i]) - f(eye[j]) + f0
+    try:
+        t = np.linalg.solve(hess, -grad)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"normal equations are singular: {exc}") from exc
+    return TransverseGauge(a=float(t[0]), b=float(t[1]),
+                           c=1.0 + float(t[1]), d=float(t[2]))
+
+
+# ---------------------------------------------------------------------------
+# radial projection of the cone (compares a sharp cone with a cylinder)
+
+def project_P(xp, t: float) -> np.ndarray:
+    """Map ``(x', t)`` to the point at distance ``t`` on the ray through ``(x', 1)``.
+
+    This is the radial graph parametrization of the cone over the section:
+    ``P(x', t) = t * (x'_1, x'_2, 1) / |(x'_1, x'_2, 1)|``.  At ``x' = 0``
+    its Jacobian is the identity, and the deviation from the identity grows
+    linearly with ``|x'|``; that is what makes a sharp cone comparable to a
+    thin cylinder.
+    """
+    x = np.asarray(xp, dtype=float)
+    if x.shape != (2,):
+        raise UsageError("x' must be a plane point")
+    tt = float(t)
+    if not (tt > 0.0) or not math.isfinite(tt):
+        raise GeometryError("t must be positive")
+    s = math.sqrt(1.0 + x[0] * x[0] + x[1] * x[1])
+    return np.array([tt * x[0] / s, tt * x[1] / s, tt / s])
+
+
+def projection_jacobian(xp, t: float = 1.0, step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of :func:`project_P` at ``(x', t)``."""
+    x0 = np.asarray(xp, dtype=float)
+    jac = np.zeros((3, 3))
+    for j in range(3):
+        dp = np.zeros(3)
+        dp[j] = step
+        up = project_P(x0 + dp[:2], t + dp[2])
+        dn = project_P(x0 - dp[:2], t - dp[2])
+        jac[:, j] = (up - dn) / (2.0 * step)
+    return jac
 
 
 # ---------------------------------------------------------------------------

@@ -17,17 +17,17 @@ import numpy as np
 import pytest
 
 from conebounds import (Disc, GridSpec, Polygon, TransverseGauge,
-                        brute_force_gauge, concentration_threshold,
-                        cone_quotient_consistency, cylinder_energy,
-                        e_constant, essential_spectrum_limit,
+                        concentration_threshold, cone_quotient_consistency,
+                        cylinder_energy, e_constant, essential_spectrum_limit,
                         fd_halfline_spectrum, full_gauge, halfspace_sigma,
                         moments, optimal_transverse_gauge,
-                        projection_jacobian, rayleigh_upper_bounds,
-                        robin_cone_upper_bound, robin_model_energy,
-                        robin_scaling_exponent, scale_section,
-                        spherical_vertex_opening, theta0, theta0_detail,
-                        truncated_domain_edges, BoundaryProfile)
-from conftest import quad_moments, random_star_polygon, section_nodes
+                        rayleigh_upper_bounds, robin_cone_upper_bound,
+                        robin_model_energy, robin_scaling_exponent,
+                        scale_section, spherical_vertex_opening, theta0,
+                        theta0_detail, truncated_domain_edges,
+                        BoundaryProfile)
+from conftest import (brute_force_gauge, projection_jacobian, quad_moments,
+                      random_star_polygon, section_nodes)
 
 UNIT_DISC = Disc(center=(0.0, 0.0), radius=1.0)
 SQUARE = Polygon([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])

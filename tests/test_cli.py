@@ -10,8 +10,8 @@ import pytest
 
 import conebounds
 from conebounds import models, theta0
-from conebounds.cli import (RunConfig, dumps_report, emit_plot_data, run,
-                            run_config)
+from conebounds.cli import (COMMANDS, RunConfig, dumps_report, emit_plot_data,
+                            run, run_config)
 from conebounds.errors import UsageError
 
 DISC_DOC = {"disc": {"center": [0.0, 0.0], "radius": 1.0}}
@@ -177,6 +177,23 @@ class TestSweepsAndCsv:
         with pytest.raises(UsageError):
             emit_plot_data(report, "nope")
 
+    def test_emit_plot_data_non_numeric_quantity(self):
+        report = {"result": {"sweepKey": "eps",
+                             "rows": [{"eps": 0.4, "kind": "TwoSided"}]}}
+        with pytest.raises(UsageError, match="not numeric"):
+            emit_plot_data(report, "kind")
+
+    def test_non_numeric_csv_column_is_a_usage_error(self, capsys,
+                                                     square_file, tmp_path):
+        csv_path = tmp_path / "ess.csv"
+        code, report = run_cli(capsys, ["ess", "--section", square_file,
+                                        "--field", "0,0,1", "--eps", "0.4,0.2",
+                                        "--cfloor", "0.5", "--csv",
+                                        str(csv_path), "--quantity", "kind"])
+        assert code == 2
+        assert report["result"]["rows"][0]["kind"] == "TwoSided"
+        assert not csv_path.exists()
+
     def test_emit_plot_data_empty_report(self):
         with pytest.raises(UsageError):
             emit_plot_data({"result": {}}, "e")
@@ -254,6 +271,43 @@ class TestExitCodes:
         assert report["warnings"]
 
 
+class TestOptionPlacement:
+    FD_ARGS = ["spectrum1d", "--lam", "1", "--method", "fd",
+               "--xmax", "1.5", "--npoints", "100"]
+
+    def test_strict_before_the_subcommand_is_rejected(self, capsys):
+        assert run(["--strict", *self.FD_ARGS]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_csv_before_the_subcommand_is_rejected(self, capsys, disc_file,
+                                                   tmp_path):
+        csv_path = tmp_path / "pre.csv"
+        assert run(["--csv", str(csv_path), "sweep", "bound",
+                    "--section", disc_file, "--field", "0,0,1",
+                    "--eps", "1,0.5"]) == 2
+        assert not csv_path.exists()
+
+    def test_csv_only_on_commands_with_a_csv_column(self, capsys, disc_file,
+                                                    tmp_path):
+        csv_path = tmp_path / "m.csv"
+        assert run(["moments", "--section", disc_file,
+                    "--csv", str(csv_path)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not csv_path.exists()
+        assert sorted(n for n, c in COMMANDS.items() if c.csv) == [
+            "ess", "sweep.bound", "sweep.sigma"]
+
+    def test_parse_error_report_names_the_leaf_command(self, capsys,
+                                                       tmp_path):
+        code, report = run_cli(capsys, ["robin", "scaling", "--section",
+                                        str(tmp_path / "missing.json"),
+                                        "--eps", "1,0.1,0.01"])
+        assert code == 2
+        assert report["command"] == "robin.scaling"
+        assert report["config"]["command"] == "robin.scaling"
+        assert report["error"]["kind"] == "parse"
+
+
 class TestConfigAndSerialization:
     def test_config_round_trip(self):
         cfg = RunConfig(command="bound", section=DISC_DOC,
@@ -269,6 +323,13 @@ class TestConfigAndSerialization:
     def test_config_needs_command(self):
         with pytest.raises(UsageError):
             RunConfig.from_dict({"n_max": 2})
+
+    def test_config_missing_a_required_field(self):
+        report, code = run_config(RunConfig(command="edges",
+                                            section=SQUARE_DOC))
+        assert code == 2
+        assert report["error"] == {"kind": "parse",
+                                   "message": "edges needs --eps"}
 
     def test_reports_are_deterministic(self):
         for cfg in (RunConfig(command="bound", section=DISC_DOC,
@@ -325,6 +386,13 @@ print(json.dumps(out))
 """
 
 
+def src_env() -> dict:
+    """The environment with this checkout's ``src`` first on the path."""
+    src = os.path.dirname(os.path.dirname(conebounds.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 class TestImportCost:
     def test_closed_form_commands_do_not_load_scipy(self, capsys, disc_file,
                                                     square_file):
@@ -345,12 +413,9 @@ class TestImportCost:
             ["ess", "--section", square_file, "--field", "0.3,-0.4,0.8",
              "--eps", "0.4,0.2", "--cfloor", "0.5"],
         ]
-        src = os.path.dirname(os.path.dirname(conebounds.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-c", _SCIPY_PROBE, json.dumps(numpy_only)],
-            env=env, capture_output=True, text=True, timeout=120)
+            env=src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
         assert out["import"] == []
@@ -361,6 +426,19 @@ class TestImportCost:
                                         "--method", "fd"])
         assert code == 0
         assert out["fd"] == report["result"]["eigenvalues"]
+
+
+class TestEntryPoint:
+    def test_module_entry_point(self, square_file):
+        # the console script and ``python -m conebounds.cli`` run main()
+        proc = subprocess.run(
+            [sys.executable, "-m", "conebounds.cli", "moments",
+             "--section", square_file],
+            env=src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["command"] == "moments"
+        assert report["result"]["area"] == pytest.approx(4.0, rel=1e-14)
 
 
 def readme_cli_examples() -> list[list[str]]:
@@ -385,3 +463,8 @@ class TestReadme:
         codes = {" ".join(argv): run_cli(capsys, argv)[0]
                  for argv in examples}
         assert codes == {cmd: 0 for cmd in codes}
+
+    def test_one_example_per_command(self):
+        names = [argv[0] if argv[0] in COMMANDS else ".".join(argv[:2])
+                 for argv in readme_cli_examples()]
+        assert sorted(names) == sorted(COMMANDS)

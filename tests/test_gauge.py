@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from conebounds import (Disc, DomainError, MagneticField, Polygon,
-                        TransverseGauge, UsageError, brute_force_gauge,
-                        e_constant, full_gauge, min_transverse_norm_sq,
-                        moments, optimal_transverse_gauge,
-                        rayleigh_upper_bounds, reference_asymptotics,
-                        scale_section)
-from conftest import random_field, random_star_polygon, section_nodes
+                        TransverseGauge, UsageError, e_constant, full_gauge,
+                        min_transverse_norm_sq, moments,
+                        optimal_transverse_gauge, rayleigh_upper_bounds,
+                        reference_asymptotics, scale_section)
+from conftest import (brute_force_gauge, random_field, random_star_polygon,
+                      section_nodes)
 
 
 def rect(l, L):

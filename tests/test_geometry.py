@@ -7,11 +7,12 @@ import pytest
 
 from conebounds import (Disc, GeometryError, Polygon, UsageError, centroid,
                         cone_edge_openings, cone_faces, disc_moments,
-                        interior_angle, moments, polygon_moments, project_P,
-                        projection_jacobian, scale_section, section_from_json,
-                        section_quadrature, section_to_json,
-                        spherical_vertex_opening, tangent_substructures)
-from conftest import quad_moments, random_star_polygon
+                        interior_angle, moments, polygon_moments,
+                        scale_section, section_from_json, section_quadrature,
+                        section_to_json, spherical_vertex_opening,
+                        tangent_substructures)
+from conftest import (project_P, projection_jacobian, quad_moments,
+                      random_star_polygon)
 
 
 class TestPolygonValidation:
