@@ -16,7 +16,13 @@ command's options, its handler and its provenance; the parser, the
 ``RunConfig`` built from the parsed arguments, the required-field check
 and the dispatch are all read off the table.  Options, ``--strict``
 included, follow the subcommand.  Only the sweep commands (``ess``,
-``sweep bound``, ``sweep sigma``) take ``--csv`` and ``--quantity``.
+``sweep bound``, ``sweep sigma``) take ``--csv`` and ``--quantity``, and
+``--quantity`` only together with ``--csv``.
+
+``sweep bound`` uses the dilation identity ``e(B, eps w) = eps e(B, w)``:
+it builds and validates the section once, bounds it once, and scales that
+bound to each ``eps``, so a rung costs a multiplication, not a section
+build.
 
 The closed-form commands (``moments``, ``gauge``, ``bound``,
 ``concentrate``, ``edges``, ``robin wedge``, ``sweep bound``, exact
@@ -53,7 +59,7 @@ from .errors import (AccuracyError, AccuracyWarning, DomainError, SolverError,
                      UsageError)
 from .gauge import (min_transverse_norm_sq, optimal_transverse_gauge,
                     rayleigh_upper_bounds)
-from .geometry import moments, scale_section, section_from_json
+from .geometry import moments, scale_factor, section_from_json
 from .halfline import GridSpec, exact_reduced_spectrum, fd_halfline_spectrum
 from .models import (ZERO_ANGLE_ATOL, concentration_threshold,
                      essential_spectrum_limit, halfspace_sigma, theta0_detail,
@@ -275,14 +281,19 @@ def _edges(cfg: RunConfig) -> dict:
 
 
 def _sweep_bound(cfg: RunConfig) -> dict:
+    # e(B, eps w) = eps e(B, w), so the section is built and bounded once
+    # and each rung rescales that bound.  The first rung's eps is checked
+    # before the bound is computed: a bad eps is reported ahead of a bad
+    # field or --n.
     section = section_from_json(cfg.section)
-    rows = []
+    unit, rows = None, []
     for eps in cfg.epsilons:
-        res = rayleigh_upper_bounds(cfg.field_components,
-                                    scale_section(section, eps),
-                                    n_max=cfg.n_max)
-        rows.append({"eps": eps, "e": res.e,
-                     **{f"bound{n}": b for n, b in res.bounds}})
+        e = scale_factor(eps)
+        if unit is None:
+            unit = rayleigh_upper_bounds(cfg.field_components, section,
+                                         n_max=cfg.n_max)
+        rows.append({"eps": eps, "e": e * unit.e,
+                     **{f"bound{n}": e * b for n, b in unit.bounds}})
     return {"sweepKey": "eps", "rows": rows}
 
 
@@ -419,6 +430,8 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         val = getattr(ns, opt.field)
         if val is not None:
             setattr(cfg, opt.field, opt.convert(val) if opt.convert else val)
+    if cfg.quantity is not None and cfg.csv_path is None:
+        raise UsageError("--quantity needs --csv")
     return cfg
 
 

@@ -6,9 +6,11 @@ scratch (triangle fan for polygons, polar grid for discs), so closed-form
 moment code is cross-checked against an independent route; the optimal
 gauge is recomputed from finite differences of its quadratic objective;
 the half-plane energy ``sigma(theta)`` is cross-checked by finite
-differences against the library's spectral Rayleigh-Ritz solve; and the
+differences against the library's spectral Rayleigh-Ritz solve; the
 radial projection of the cone onto a thin cylinder, with its Jacobian,
-gives the cone-versus-cylinder deviation checks.
+gives the cone-versus-cylinder deviation checks; and ``ScalarPolygon``
+validates polygons by scalar loops over corners and edge pairs, the
+reference for the vectorised checks of ``Polygon``.
 """
 
 import math
@@ -180,6 +182,69 @@ def fd_halfspace_sigma(theta, s_half=10.0, t_max=20.0, n_s=159, n_t=160):
     val = eigsh(ham, k=1, sigma=0.0, which="LM", v0=np.ones(n_s * n_t),
                 return_eigenvectors=False)
     return float(val[0])
+
+
+# ---------------------------------------------------------------------------
+# polygon validation by scalar loops (independent of the vectorised checks)
+
+def _orient(p, q, r) -> float:
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def _on_segment(p, q, r) -> bool:
+    # r collinear with pq: does r lie within the bounding box of pq?
+    return (min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
+            and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
+
+
+def _segments_intersect(a, b, c, d) -> bool:
+    o1, o2 = _orient(a, b, c), _orient(a, b, d)
+    o3, o4 = _orient(c, d, a), _orient(c, d, b)
+    if ((o1 > 0) != (o2 > 0)) and ((o3 > 0) != (o4 > 0)) and o1 != 0 and o2 != 0 \
+            and o3 != 0 and o4 != 0:
+        return True
+    if o1 == 0 and _on_segment(a, b, c):
+        return True
+    if o2 == 0 and _on_segment(a, b, d):
+        return True
+    if o3 == 0 and _on_segment(c, d, a):
+        return True
+    if o4 == 0 and _on_segment(c, d, b):
+        return True
+    return False
+
+
+class ScalarPolygon(Polygon):
+    """``Polygon`` whose spike and simplicity checks are scalar loops.
+
+    Every corner and every pair of non-adjacent edges is tested one at a
+    time, with the same float expressions as the vectorised checks, so the
+    two must agree on every outcome and every error message.  O(n^2)
+    Python calls: keep ``n`` small.
+    """
+
+    def _check_spikes(self) -> None:
+        v = self.vertices
+        n = len(v)
+        for i in range(n):
+            u = v[i - 1] - v[i]
+            w = v[(i + 1) % n] - v[i]
+            # zero interior angle means the two edges overlap: a spike
+            if float(w[0] * u[1] - w[1] * u[0]) == 0.0 and np.dot(w, u) > 0.0:
+                raise GeometryError(f"zero-angle spike at vertex {i}")
+
+    def _check_simple(self) -> None:
+        v = self.vertices
+        n = len(v)
+        for i in range(n):
+            a, b = v[i], v[(i + 1) % n]
+            for j in range(i + 1, n):
+                if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                    continue  # adjacent edges share a vertex by construction
+                c, d = v[j], v[(j + 1) % n]
+                if _segments_intersect(a, b, c, d):
+                    raise GeometryError(
+                        f"boundary self-intersects (edges {i} and {j})")
 
 
 # ---------------------------------------------------------------------------

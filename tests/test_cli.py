@@ -9,13 +9,17 @@ import sys
 import pytest
 
 import conebounds
-from conebounds import models, theta0
+from conebounds import (models, rayleigh_upper_bounds, scale_section,
+                        section_from_json, theta0)
 from conebounds.cli import (COMMANDS, RunConfig, dumps_report, emit_plot_data,
                             run, run_config)
 from conebounds.errors import UsageError
 
 DISC_DOC = {"disc": {"center": [0.0, 0.0], "radius": 1.0}}
 SQUARE_DOC = {"polygon": [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]}
+PENTAGON_DOC = {"polygon": [[0.3, 0.2], [2.1, 0.5], [1.7, 1.9], [0.9, 1.1],
+                            [0.2, 1.4]]}
+OFFCENTRE_DISC_DOC = {"disc": {"center": [0.4, -0.7], "radius": 0.9}}
 
 
 @pytest.fixture
@@ -159,6 +163,47 @@ class TestSweepsAndCsv:
         assert len(lines) == 4
         assert [float(ln.split(",")[0]) for ln in lines[1:]] == [1.0, 0.5, 0.1]
 
+    @pytest.mark.parametrize("doc", [PENTAGON_DOC, OFFCENTRE_DISC_DOC])
+    def test_sweep_bound_rows_equal_per_rung_dilation(self, capsys, tmp_path,
+                                                       doc):
+        # the rows scale one bound by eps; a dilated section gives the same
+        path = tmp_path / "section.json"
+        path.write_text(json.dumps(doc))
+        field, ladder = (0.3, -0.4, 0.8), (1.0, 0.5, 0.3, 0.1, 0.01, 7.25)
+        code, report = run_cli(capsys, [
+            "sweep", "bound", "--section", str(path), "--field", "0.3,-0.4,0.8",
+            "--eps", ",".join(map(repr, ladder)), "--n", "3"])
+        assert code == 0
+        rows = report["result"]["rows"]
+        assert [row["eps"] for row in rows] == list(ladder)
+        section = section_from_json(doc)
+        for row, eps in zip(rows, ladder):
+            want = rayleigh_upper_bounds(field, scale_section(section, eps),
+                                         n_max=3)
+            assert row["e"] == pytest.approx(want.e, rel=2e-15, abs=0.0)
+            for n, b in want.bounds:
+                assert row[f"bound{n}"] == pytest.approx(b, rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("ladder", ["0.5,0", "1,-2", "1,inf", "1,nan"])
+    def test_sweep_bound_rejects_a_non_positive_rung(self, capsys, square_file,
+                                                     ladder):
+        code, report = run_cli(capsys, ["sweep", "bound", "--section",
+                                        square_file, "--field", "0,0,1",
+                                        "--eps", ladder])
+        assert code == 3
+        assert report["error"] == {"kind": "domain",
+                                   "message": "scale factor must be positive"}
+
+    def test_sweep_bound_checks_the_first_rung_before_the_field(
+            self, capsys, square_file):
+        args = ["sweep", "bound", "--section", square_file,
+                "--field", "0,0,inf", "--eps"]
+        code, report = run_cli(capsys, args + ["0,1"])
+        assert (code, report["error"]["kind"]) == (3, "domain")
+        code, report = run_cli(capsys, args + ["1,0"])
+        assert (code, report["error"]["kind"]) == (2, "parse")
+        assert "magnetic field" in report["error"]["message"]
+
     def test_sweep_sigma_starts_at_theta0(self, capsys):
         code, report = run_cli(capsys, ["sweep", "sigma",
                                         "--thetas", "0,1.5707963267948966"])
@@ -297,6 +342,15 @@ class TestOptionPlacement:
         assert sorted(n for n, c in COMMANDS.items() if c.csv) == [
             "ess", "sweep.bound", "sweep.sigma"]
 
+    def test_quantity_without_csv_is_rejected(self, capsys, disc_file):
+        code, report = run_cli(capsys, ["sweep", "bound", "--section",
+                                        disc_file, "--field", "0,0,1",
+                                        "--eps", "1,0.5", "--quantity", "e"])
+        assert code == 2
+        assert report["command"] == "sweep.bound"
+        assert report["error"] == {"kind": "parse",
+                                   "message": "--quantity needs --csv"}
+
     def test_parse_error_report_names_the_leaf_command(self, capsys,
                                                        tmp_path):
         code, report = run_cli(capsys, ["robin", "scaling", "--section",
@@ -426,6 +480,50 @@ class TestImportCost:
                                         "--method", "fd"])
         assert code == 0
         assert out["fd"] == report["result"]["eigenvalues"]
+
+
+# Runs in a fresh interpreter: the benchmark's tracer (perfbench/tracing.py)
+# must still find and rebind every library name it traces.
+_TRACE_PROBE = r"""
+import contextlib, io, json, sys
+from collections import Counter
+
+sys.path.insert(0, sys.argv[1])
+import tracing
+from conebounds import cli, models
+
+tracer = tracing.Tracer()
+tracer.install()
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.run(argv))
+models._sigma_cached.cache_info()
+print(json.dumps({"codes": codes,
+                  "calls": Counter(span[0] for span in tracer.spans)}))
+"""
+
+
+class TestBenchmarkHooks:
+    def test_tracer_installs_and_sees_the_section_builds(self, square_file):
+        perfbench = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "perfbench")
+        argvs = [["bound", "--section", square_file, "--field", "0,0,1",
+                  "--n", "3"],
+                 ["sweep", "bound", "--section", square_file,
+                  "--field", "0.3,-0.4,0.8", "--eps", "1,0.5,0.25"],
+                 ["edges", "--section", square_file, "--eps", "0.3"]]
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRACE_PROBE, perfbench, json.dumps(argvs)],
+            env=src_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["codes"] == [0, 0, 0]
+        calls = out["calls"]
+        assert calls["cli.invoke"] == calls["cli.execute"] == 3
+        # one section build per command, one bound per bound-like command
+        assert calls["geometry.section_build"] == 3
+        assert calls["gauge.bound"] == 2
 
 
 class TestEntryPoint:

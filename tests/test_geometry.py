@@ -1,6 +1,7 @@
 """Sections, exact moments, tangent substructures, spherical projection."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from conebounds import (Disc, GeometryError, Polygon, UsageError, centroid,
                         scale_section, section_from_json, section_quadrature,
                         section_to_json, spherical_vertex_opening,
                         tangent_substructures)
-from conftest import (project_P, projection_jacobian, quad_moments,
-                      random_star_polygon)
+from conftest import (ScalarPolygon, project_P, projection_jacobian,
+                      quad_moments, random_star_polygon)
 
 
 class TestPolygonValidation:
@@ -66,6 +67,69 @@ class TestPolygonValidation:
             Disc((0, 0), -1.0)
         with pytest.raises(GeometryError):
             Disc((np.nan, 0), 1.0)
+
+
+def validation_outcome(cls, vertices) -> str:
+    """``"ok"`` or the ``GeometryError`` message of building ``cls(vertices)``."""
+    try:
+        cls(vertices)
+    except GeometryError as exc:
+        return str(exc)
+    return "ok"
+
+
+class TestPolygonValidationAgainstScalarOracle:
+    def test_seeded_polygons_match_the_scalar_loops(self):
+        # a third on a 5x5 integer lattice, where collinear and touching
+        # edges are common; a third uniform; a third star polygons, half
+        # of them with two vertices swapped
+        rng = np.random.default_rng(9)
+        kinds = Counter()
+        for k in range(2400):
+            n = int(rng.integers(3, 11))
+            if k % 3 == 0:
+                v = rng.integers(0, 5, size=(n, 2)).astype(float)
+            elif k % 3 == 1:
+                v = rng.uniform(-1.0, 1.0, size=(n, 2))
+            else:
+                th = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+                r = rng.uniform(0.3, 1.2, n)
+                v = np.column_stack([r * np.cos(th), r * np.sin(th)])
+                if k % 2:
+                    a, b = rng.integers(0, n, 2)
+                    v[[a, b]] = v[[b, a]]
+            want = validation_outcome(ScalarPolygon, v)
+            assert validation_outcome(Polygon, v) == want, v.tolist()
+            kinds[want.split(" (")[0].split(" at vertex")[0]] += 1
+        # every branch of both checks was reached, accepting and rejecting
+        assert kinds["ok"] >= 500
+        assert kinds["zero-angle spike"] >= 100
+        assert kinds["boundary self-intersects"] >= 500
+
+    @pytest.mark.parametrize("vertices, message", [
+        # vertex 3 lies on edge 0
+        ([(0, 0), (4, 0), (4, 4), (2, 0), (0, 4)], "edges 0 and 2"),
+        # edge 3 lies along edge 0
+        ([(0, 0), (4, 0), (4, 1), (3, 0), (1, 0), (0, 1)], "edges 0 and 2"),
+        ([(2, 0), (5, 0), (4, 1), (4, 0), (0, 0), (1, -2)], "edges 0 and 2"),
+        ([(0, 0), (2, 2), (2, 0), (0, 1)], "edges 0 and 2"),   # bowtie
+        ([(0, 0), (2, 0), (2, 1), (1, 1), (1, 0)], "spike at vertex 0"),
+        ([(2, 0), (2, 1), (1, 1), (1, 0), (0, 0)], "spike at vertex 4"),
+    ])
+    def test_touching_overlapping_spikes_and_bowtie(self, vertices, message):
+        got = validation_outcome(Polygon, vertices)
+        assert message in got
+        assert got == validation_outcome(ScalarPolygon, vertices)
+
+    def test_4096_vertex_star_accepted_and_its_crossing_variant_rejected(self):
+        th = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+        r = 1.0 + 0.3 * np.cos(7.0 * th)
+        v = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        assert Polygon(v).n_vertices == 4096
+        v[[2048, 2049]] = v[[2049, 2048]]
+        with pytest.raises(GeometryError,
+                           match=r"self-intersects \(edges 2047 and 2049\)"):
+            Polygon(v)
 
 
 class TestPolygonMoments:
