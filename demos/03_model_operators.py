@@ -28,8 +28,9 @@ print(f"strictly above 1/2: {det.mu > 0.5}, strictly below 1: {det.mu < 1.0}")
 
 # --- sigma(theta) -------------------------------------------------------------
 
-# theta = 0 is delegated to the 1D minimization; interior angles use a
-# Rayleigh-Ritz solve on a theta-adapted spectral basis of the half plane.
+# theta = 0 is delegated to Theta0, the minimum of the 1D band; interior
+# angles use a Rayleigh-Ritz solve on a theta-adapted spectral basis of the
+# half plane, with the same polynomials in t.
 print("\ntheta (deg)   sigma(theta)")
 thetas = np.linspace(0.0, math.pi / 2.0, 7)
 vals = [halfspace_sigma(th) for th in thetas]

@@ -26,13 +26,12 @@ build.
 
 The closed-form commands (``moments``, ``gauge``, ``bound``,
 ``concentrate``, ``edges``, ``robin wedge``, ``sweep bound``, exact
-``spectrum1d``) and the half-space energies (``model sigma``, ``sweep
-sigma`` and ``ess``, whose ``sigma`` is a spectral Rayleigh-Ritz solve)
-run on numpy alone.  The finite-difference and quadrature solvers
-(``spectrum1d --method fd``, ``model theta0``, ``robin cone``, ``robin
-scaling``, and ``sigma`` at angle 0, which is ``Theta_0``) import scipy
-the first time they run, so the wall time of those commands includes
-that import.
+``spectrum1d``) and the half-space energies (``model theta0``, ``model
+sigma``, ``sweep sigma`` and ``ess``, all spectral Rayleigh-Ritz solves)
+run on numpy alone.  Only the finite-difference and quadrature solvers
+(``spectrum1d --method fd``, ``robin cone``, ``robin scaling``) import
+scipy, the first time they run, so the wall time of those commands
+includes that import.
 
 Exit codes: 0 success, 2 parse or usage errors, 3 domain errors
 (inadmissible geometry or parameters), 4 accuracy failures (hard accuracy
@@ -61,9 +60,8 @@ from .gauge import (min_transverse_norm_sq, optimal_transverse_gauge,
                     rayleigh_upper_bounds)
 from .geometry import moments, scale_factor, section_from_json
 from .halfline import GridSpec, exact_reduced_spectrum, fd_halfline_spectrum
-from .models import (ZERO_ANGLE_ATOL, concentration_threshold,
-                     essential_spectrum_limit, halfspace_sigma, theta0_detail,
-                     truncated_domain_edges)
+from .models import (concentration_threshold, essential_spectrum_limit,
+                     halfspace_sigma, theta0_detail, truncated_domain_edges)
 from .robin import (BoundaryProfile, robin_cone_upper_bound,
                     robin_model_energy, robin_scaling_exponent)
 
@@ -222,16 +220,6 @@ _AXIS = Option("--axis", "axis", _floats("axis", "two"),
 # The handlers below return a command's result payload.  They call the
 # library through this module's globals, never through a stored reference.
 
-def _sigma_provenance(thetas) -> list[str]:
-    """Tags for ``sigma`` values: Rayleigh-Ritz upper bounds, FD at angle 0."""
-    tags = []
-    if any(th > ZERO_ANGLE_ATOL for th in thetas):
-        tags.append("Rayleigh-Ritz")
-    if any(th <= ZERO_ANGLE_ATOL for th in thetas):
-        return tags + ["FD"]
-    return tags + ["upper-bound"]
-
-
 def _gauge(cfg: RunConfig) -> dict:
     section = section_from_json(cfg.section)
     g = optimal_transverse_gauge(section)
@@ -341,12 +329,13 @@ COMMANDS: dict[str, Command] = {
          Option("--xmax", "x_max", type=float),
          Option("--npoints", "n_points", type=int)),
         _spectrum1d),
-    "model.theta0": Command("de Gennes constant", (), _theta0, ("FD",)),
+    "model.theta0": Command("de Gennes constant", (), _theta0,
+                            ("Rayleigh-Ritz", "upper-bound")),
     "model.sigma": Command(
         "half-space energy at field angle theta",
         (Option("--theta", "theta", type=float, required=True),),
-        lambda cfg: {"theta": cfg.theta, "sigma": halfspace_sigma(cfg.theta),
-                     "provenance": _sigma_provenance([cfg.theta])}),
+        lambda cfg: {"theta": cfg.theta, "sigma": halfspace_sigma(cfg.theta)},
+        ("Rayleigh-Ritz", "upper-bound")),
     "ess": Command(
         "essential-energy estimates along a ladder",
         (_SECTION, _FIELD, _EPS_LIST, _CFLOOR),
@@ -355,7 +344,7 @@ COMMANDS: dict[str, Command] = {
             for eps, est in essential_spectrum_limit(
                 cfg.field_components, section_from_json(cfg.section),
                 cfg.epsilons, cfg.c_floor)]},
-        ("Rayleigh-Ritz", "FD", "upper-bound", "lower-bound"), csv="upper"),
+        ("Rayleigh-Ritz", "upper-bound", "lower-bound"), csv="upper"),
     "concentrate": Command(
         "corner-concentration threshold",
         (_SECTION, _FIELD, _CFLOOR,
@@ -392,9 +381,8 @@ COMMANDS: dict[str, Command] = {
         (Option("--thetas", "thetas", _floats("theta list"), required=True),),
         lambda cfg: {"sweepKey": "theta",
                      "rows": [{"theta": th, "sigma": halfspace_sigma(th)}
-                              for th in cfg.thetas],
-                     "provenance": _sigma_provenance(cfg.thetas)},
-        csv="sigma"),
+                              for th in cfg.thetas]},
+        ("Rayleigh-Ritz", "upper-bound"), csv="sigma"),
 }
 
 

@@ -22,10 +22,10 @@ energy of the reference cylinder over a section and of sharpening cones,
 and an explicit threshold for when the apex bound drops below every
 non-apex channel, certifying corner concentration.
 
-The de Gennes energies here are finite differences with Dirichlet
-truncation of the half-line, which biases them upward.  The two-sided
-estimates use the Rayleigh-Ritz ``sigma`` at both ends, so their lower
-ends are not proven lower bounds yet; sources say so.
+Every half-space energy here (the de Gennes band ``mu(xi)``, ``Theta_0``
+and ``sigma(theta)``) is a Rayleigh-Ritz value on a spectral basis, so an
+upper bound.  The two-sided estimates use ``sigma`` at both ends, so their
+lower ends are not proven lower bounds yet; sources say so.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .errors import DomainError, SolverError, UsageError
 from .gauge import MagneticField, e_constant
 from .geometry import (Polygon, Section, cone_edge_openings, cone_faces,
                        moments, tangent_substructures)
-from .halfline import GridSpec
 
 #: Provenance kinds carried by estimates.
 UPPER_BOUND = "UpperBound"
@@ -97,64 +96,69 @@ class EnergyEstimate:
 # ---------------------------------------------------------------------------
 # de Gennes operator on the half-line
 
-DEFAULT_DEGENNES_GRID = GridSpec(x_max=15.0, n=3000)
-
-
-def degennes_mu(xi: float, grid: GridSpec | None = None) -> DeGennesResult:
+def degennes_mu(xi: float) -> DeGennesResult:
     """Lowest Neumann eigenvalue of ``-u'' + (t - xi)^2 u`` on the half-line.
 
-    Second-order scheme; the Neumann condition at 0 enters through the
-    mirror ghost point, symmetrized by a diagonal similarity so a
-    tridiagonal symmetric eigensolver applies.  Dirichlet truncation at
-    ``x_max`` (upward bias, exponentially small).  ``mu(0) = 1`` exactly,
-    and ``mu`` attains its minimum ``Theta_0`` at ``xi = sqrt(Theta_0)``.
+    A Rayleigh-Ritz value (:func:`rayleigh_ritz_mu` on
+    :func:`degennes_basis`), so an upper bound for ``mu(xi)``.
+    ``mu(0) = 1`` exactly, and ``mu`` attains its minimum ``Theta_0`` at
+    ``xi = sqrt(Theta_0)``.
     """
     x = float(xi)
     if not math.isfinite(x):
         raise DomainError("xi must be finite")
-    g = grid if grid is not None else \
-        GridSpec(x_max=max(DEFAULT_DEGENNES_GRID.x_max, x + 12.0),
-                 n=DEFAULT_DEGENNES_GRID.n)
-    return DeGennesResult(xi=x, mu=_degennes_cached(x, g.x_max, g.n))
+    return DeGennesResult(xi=x, mu=rayleigh_ritz_mu(x, *degennes_basis(x)))
 
 
-@lru_cache(maxsize=4096)
-def _degennes_cached(xi: float, x_max: float, n: int) -> float:
-    from scipy.linalg import eigh_tridiagonal
+def degennes_basis(xi: float) -> tuple[float, int]:
+    """``(t_max, n)`` of the basis at ``xi``.
 
-    h = x_max / n
-    t = h * np.arange(n)  # node 0 is the Neumann end; x_max is Dirichlet
-    diag = np.full(n, 2.0 / h ** 2) + (t - xi) ** 2
-    off = np.full(n - 1, -1.0 / h ** 2)
-    off[0] = -math.sqrt(2.0) / h ** 2
-    val = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
-                           eigvals_only=True)
-    return float(val[0])
+    The mode sits at ``t ~ max(0, xi)`` with width ~1, so ``t_max =
+    max(10, xi + 10)``.  ``n = 2.8 t_max`` polynomials already keep a
+    doubling of the basis below 1e-10 relative on ``xi`` in ``[-8, 24]``;
+    ``n = 16 ceil(t_max / 5) >= 3.2 t_max`` (32 up to ``xi = 0``) stops
+    growing at ``xi = 70``, past which the value is still an upper bound
+    but less accurate.
+    """
+    t_max = max(10.0, xi + 10.0)
+    return t_max, 16 * math.ceil(min(t_max, 80.0) / 5.0)
 
 
-def theta0(grid: GridSpec | None = None) -> float:
+def rayleigh_ritz_mu(xi: float, t_max: float, n: int) -> float:
+    """Least Rayleigh-Ritz value of the de Gennes operator at ``xi``.
+
+    The basis is the ``t`` factor of :func:`rayleigh_ritz_sigma`: the
+    ``n`` polynomials of :func:`_legendre_grams` on ``[0, t_max]`` that
+    vanish at ``t_max``, so enlarging ``n`` never raises the value.
+    """
+    t1, t2, dt, _ = _legendre_grams(n)
+    ham = dt / t_max ** 2 + t_max ** 2 * t2 - 2.0 * xi * t_max * t1 \
+        + xi * xi * np.eye(n)
+    return _lowest_eigenvalue(ham, "de Gennes")
+
+
+def theta0() -> float:
     """The de Gennes constant: ``min over xi`` of :func:`degennes_mu`."""
-    return theta0_detail(grid).mu
+    return theta0_detail().mu
 
 
-def theta0_detail(grid: GridSpec | None = None) -> DeGennesResult:
-    g = grid if grid is not None else DEFAULT_DEGENNES_GRID
-    return _theta0_cached(g.x_max, g.n)
+@lru_cache(maxsize=1)
+def theta0_detail() -> DeGennesResult:
+    """``Theta_0`` and its minimizer by the fixed point ``xi <- sqrt(mu(xi))``.
 
-
-@lru_cache(maxsize=32)
-def _theta0_cached(x_max: float, n: int) -> DeGennesResult:
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(lambda xi: _degennes_cached(float(xi), x_max, n),
-                          bounds=(0.4, 1.2), method="bounded",
-                          options={"xatol": 1e-8})
-    if not res.success:
-        raise SolverError(f"de Gennes minimization failed: {res.message}")
-    # the minimum is interior to the bracket; hitting an end means trouble
-    if res.x < 0.41 or res.x > 1.19:
-        raise SolverError("de Gennes minimizer stuck at the bracket boundary")
-    return DeGennesResult(xi=float(res.x), mu=float(res.fun))
+    ``mu'(xi) = (xi^2 - mu(xi)) u_xi(0)^2`` for the normalized ground state
+    ``u_xi``, so the minimizer is the fixed point, where the map has zero
+    slope: the iteration converges quadratically.  The returned ``mu`` is
+    a Rayleigh-Ritz value at the returned ``xi``, an upper bound for
+    ``Theta_0``.
+    """
+    xi = math.sqrt(0.59)
+    for _ in range(50):
+        res = degennes_mu(xi)
+        xi = math.sqrt(res.mu)
+        if abs(xi - res.xi) <= 1e-12:
+            return res
+    raise SolverError("de Gennes fixed point did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +174,6 @@ ZERO_ANGLE_ATOL = 1e-12
 #: (de Gennes) mode, above it the Landau mode sheared along the field.
 SHEAR_ANGLE = 0.35
 
-# de Gennes constant (literature value), only to centre the small-angle basis
-_THETA0_CENTRE = 0.590106
-
 
 def halfspace_sigma(theta: float) -> float:
     """Ground energy of the half-space with field at angle ``theta`` to the wall.
@@ -181,10 +182,12 @@ def halfspace_sigma(theta: float) -> float:
     ``-d2/ds2 - d2/dt2 + (t cos(theta) - s sin(theta))^2`` on the half-plane
     ``t > 0`` with Neumann at ``t = 0``, computed by Rayleigh-Ritz on a
     basis adapted to ``theta`` (:func:`sigma_basis`), so the value bounds
-    ``sigma`` from above.  The operator degenerates as ``theta -> 0`` (the
+    ``sigma`` from above.  ``sigma <= 1`` (the Landau level) is a theorem,
+    so a solve above 1, which the truncation in ``t`` gives near ``pi/2``,
+    is returned as 1.  The operator degenerates as ``theta -> 0`` (the
     minimizing frequency escapes in ``s``), so ``theta <= ZERO_ANGLE_ATOL``
-    is delegated to the de Gennes constant.  Monotone nondecreasing from
-    ``Theta_0`` to 1.
+    is delegated to the de Gennes constant, a Rayleigh-Ritz value too.
+    Monotone nondecreasing from ``Theta_0`` to 1.
     """
     th = float(theta)
     if not (0.0 <= th <= math.pi / 2.0 + 1e-12):
@@ -196,7 +199,7 @@ def halfspace_sigma(theta: float) -> float:
 
 @lru_cache(maxsize=256)
 def _sigma_cached(theta: float) -> float:
-    return rayleigh_ritz_sigma(theta, *sigma_basis(theta))
+    return min(1.0, rayleigh_ritz_sigma(theta, *sigma_basis(theta)))
 
 
 def sigma_basis(theta: float) -> tuple[float, float, float, float, int, int]:
@@ -213,7 +216,7 @@ def sigma_basis(theta: float) -> tuple[float, float, float, float, int, int]:
     """
     c, s = math.cos(theta), math.sin(theta)
     if theta < SHEAR_ANGLE:
-        return (0.0, math.sqrt(_THETA0_CENTRE * c) / s, 1.3 / math.sqrt(s),
+        return (0.0, math.sqrt(theta0() * c) / s, 1.3 / math.sqrt(s),
                 7.0, 16, 16)
     t_max = min(60.0, max(10.0, 18.0 * s / c ** 2))
     return c / s, 0.0, 0.8 / s, t_max, 10, 24
@@ -246,10 +249,14 @@ def rayleigh_ritz_sigma(theta: float, kappa: float, centre: float,
     ham = np.kron(h_x, it) + np.kron(ix, h_t) \
         + 2.0 * p * q * t_max * np.kron(x1, t1) \
         - kappa / (scale * t_max) * (np.kron(cx, ct.T) + np.kron(cx.T, ct))
+    return _lowest_eigenvalue(ham, "half-plane")
+
+
+def _lowest_eigenvalue(ham: np.ndarray, what: str) -> float:
     try:
         return float(np.linalg.eigvalsh(ham)[0])
     except np.linalg.LinAlgError as exc:
-        raise SolverError(f"half-plane eigensolve failed: {exc}") from exc
+        raise SolverError(f"{what} eigensolve failed: {exc}") from exc
 
 
 def _grams(f: np.ndarray, d: np.ndarray, t: np.ndarray) -> tuple:

@@ -6,7 +6,8 @@ scratch (triangle fan for polygons, polar grid for discs), so closed-form
 moment code is cross-checked against an independent route; the optimal
 gauge is recomputed from finite differences of its quadratic objective;
 the half-plane energy ``sigma(theta)`` is cross-checked by finite
-differences against the library's spectral Rayleigh-Ritz solve; the
+differences against the library's spectral Rayleigh-Ritz solve, and so
+is the de Gennes band ``mu(xi)`` (``fd_degennes_mu``); the
 radial projection of the cone onto a thin cylinder, with its Jacobian,
 gives the cone-versus-cylinder deviation checks; and ``ScalarPolygon``
 validates polygons by scalar loops over corners and edge pairs, the
@@ -181,6 +182,32 @@ def fd_halfspace_sigma(theta, s_half=10.0, t_max=20.0, n_s=159, n_t=160):
     # sign and the constant start vector overlaps it
     val = eigsh(ham, k=1, sigma=0.0, which="LM", v0=np.ones(n_s * n_t),
                 return_eigenvectors=False)
+    return float(val[0])
+
+
+# ---------------------------------------------------------------------------
+# de Gennes band by finite differences (independent of conebounds.models)
+
+def fd_degennes_mu(xi, x_max=None, n=3000):
+    """Lowest Neumann eigenvalue of ``-u'' + (t - xi)^2 u`` on ``[0, x_max]``.
+
+    Second-order scheme; the Neumann condition at 0 enters through the
+    mirror ghost point, symmetrized by a diagonal similarity so a
+    tridiagonal symmetric eigensolver applies.  Dirichlet truncation at
+    ``x_max`` (default ``max(15, xi + 12)``).  Not a bound either way:
+    ``mu(0)`` comes out 1.6e-6 below the exact 1.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    if x_max is None:
+        x_max = max(15.0, xi + 12.0)
+    h = x_max / n
+    t = h * np.arange(n)  # node 0 is the Neumann end; x_max is Dirichlet
+    diag = np.full(n, 2.0 / h ** 2) + (t - xi) ** 2
+    off = np.full(n - 1, -1.0 / h ** 2)
+    off[0] = -math.sqrt(2.0) / h ** 2
+    val = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
+                           eigvals_only=True)
     return float(val[0])
 
 

@@ -187,13 +187,13 @@ def test_criterion_08_norm_and_homogeneity():
 
 def test_criterion_09_theta0():
     t0 = time.perf_counter()
-    fresh = theta0_detail(GridSpec(15.0, 2999)).mu  # dodge the cache
+    fresh = theta0_detail.__wrapped__().mu  # dodge the cache
     elapsed = time.perf_counter() - t0
     val = theta0()
     ok = (0.5900 < val < 0.5903 and val > 0.5 and abs(fresh - val) < 1e-4
           and elapsed < 10.0)
     check(9, ok, f"theta0 = {val:.7f} in (0.5900, 0.5903), > 1/2, "
-                 f"fresh-grid recompute in {elapsed:.2f} s")
+                 f"uncached recompute in {elapsed:.2f} s")
 
 
 def test_criterion_10_sigma_endpoints_monotone():

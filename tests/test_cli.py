@@ -100,6 +100,26 @@ class TestCommands:
         assert code == 0
         assert report["result"]["sigma"] == theta0()
 
+    @pytest.mark.parametrize("argv", [
+        ["model", "theta0"], ["model", "sigma", "--theta", "0"],
+        ["model", "sigma", "--theta", "0.7"],
+        ["sweep", "sigma", "--thetas", "0,0.7"]])
+    def test_half_space_energies_are_rayleigh_ritz_upper_bounds(self, capsys,
+                                                                argv):
+        code, report = run_cli(capsys, argv)
+        assert code == 0
+        assert report["result"]["provenance"] == ["Rayleigh-Ritz",
+                                                  "upper-bound"]
+
+    def test_ess_provenance(self, capsys, square_file):
+        # a field along x is tangent to the faces over y = +-1: sigma(0)
+        code, report = run_cli(capsys, [
+            "ess", "--section", square_file, "--field", "1,0,0",
+            "--eps", "0.4,0.2", "--cfloor", "0.5"])
+        assert code == 0
+        assert report["result"]["provenance"] == ["Rayleigh-Ritz",
+                                                  "upper-bound", "lower-bound"]
+
     def test_robin_wedge(self, capsys):
         code, report = run_cli(capsys, ["robin", "wedge",
                                         "--alpha", repr(math.pi / 2.0)])
@@ -462,8 +482,11 @@ class TestImportCost:
             ["sweep", "bound", "--section", disc_file, "--field", "0,0,1",
              "--eps", "1,0.5"],
             ["spectrum1d", "--lam", "1", "--method", "exact"],
+            ["model", "theta0"],
+            ["model", "sigma", "--theta", "0"],
             ["model", "sigma", "--theta", "0.7"],
             ["sweep", "sigma", "--thetas", "0.2,0.7"],
+            ["sweep", "sigma", "--thetas", "0,0.7"],
             ["ess", "--section", square_file, "--field", "0.3,-0.4,0.8",
              "--eps", "0.4,0.2", "--cfloor", "0.5"],
         ]
@@ -512,18 +535,23 @@ class TestBenchmarkHooks:
                   "--n", "3"],
                  ["sweep", "bound", "--section", square_file,
                   "--field", "0.3,-0.4,0.8", "--eps", "1,0.5,0.25"],
-                 ["edges", "--section", square_file, "--eps", "0.3"]]
+                 ["edges", "--section", square_file, "--eps", "0.3"],
+                 ["model", "theta0"],
+                 ["model", "sigma", "--theta", "0"]]
         proc = subprocess.run(
             [sys.executable, "-c", _TRACE_PROBE, perfbench, json.dumps(argvs)],
             env=src_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
-        assert out["codes"] == [0, 0, 0]
+        assert out["codes"] == [0] * 5
         calls = out["calls"]
-        assert calls["cli.invoke"] == calls["cli.execute"] == 3
+        assert calls["cli.invoke"] == calls["cli.execute"] == 5
         # one section build per command, one bound per bound-like command
         assert calls["geometry.section_build"] == 3
         assert calls["gauge.bound"] == 2
+        # theta0 and theta0_detail are still rebound
+        assert calls["models.theta0"] >= 1
+        assert calls["models.sigma"] == 1
 
 
 class TestEntryPoint:

@@ -6,14 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from conebounds import (Disc, DomainError, EnergyEstimate, GridSpec, Polygon,
+from conebounds import (Disc, DomainError, EnergyEstimate, Polygon,
                         UsageError, concentration_threshold, cylinder_energy,
                         degennes_mu, e_constant, essential_spectrum_limit,
                         halfspace_sigma, theta0, theta0_detail,
                         truncated_domain_edges, wedge_energy_upper)
-from conebounds.models import (SHEAR_ANGLE, _sigma_cached,
-                               rayleigh_ritz_sigma, sigma_basis)
-from conftest import fd_halfspace_sigma
+from conebounds.models import (SHEAR_ANGLE, _sigma_cached, degennes_basis,
+                               rayleigh_ritz_mu, rayleigh_ritz_sigma,
+                               sigma_basis)
+from conftest import fd_degennes_mu, fd_halfspace_sigma
 
 # the centred square with a straight corner at (0, -1)
 FLAT_CORNER = [(-1, -1), (0, -1), (1, -1), (1, 1), (-1, 1)]
@@ -23,7 +24,13 @@ class TestDeGennes:
     def test_mu_at_zero(self):
         # even reflection maps the Neumann problem onto the full-line
         # oscillator, whose ground energy is exactly 1
-        assert degennes_mu(0.0).mu == pytest.approx(1.0, abs=1e-4)
+        assert degennes_mu(0.0).mu == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("xi", [-8.0, -5.0, -3.0, -1.0, 0.0, 0.77, 2.0,
+                                    3.0])
+    def test_finite_difference_cross_check(self, xi):
+        assert degennes_mu(xi).mu == pytest.approx(fd_degennes_mu(xi),
+                                                   rel=2e-5)
 
     def test_far_negative_xi(self):
         assert degennes_mu(-5.0).mu > 25.0
@@ -57,6 +64,8 @@ class TestTheta0:
     def test_value_window(self):
         t = theta0()
         assert 0.5900 < t < 0.5903
+        # the literature value is 0.5901061249...
+        assert 0.5901061249 <= t <= 0.5901061250
 
     def test_strictly_above_half_with_margin(self):
         assert theta0() > 0.5 + 0.08
@@ -67,12 +76,18 @@ class TestTheta0:
     def test_minimizer_identity(self):
         # at the minimum, mu(xi*) = xi*^2
         res = theta0_detail()
-        assert abs(res.mu - res.xi ** 2) <= 1e-4
+        assert abs(res.mu - res.xi ** 2) <= 1e-10
 
-    def test_grid_refinement_stable(self):
-        coarse = theta0(GridSpec(15.0, 1500))
-        fine = theta0(GridSpec(15.0, 3000))
-        assert coarse == pytest.approx(fine, abs=5e-5)
+    def test_basis_doubling_stable(self):
+        # nested Rayleigh-Ritz spaces: the least value can only go down,
+        # up to eigensolver roundoff (~1e-11 relative)
+        for xi in np.append(np.linspace(-8.0, 12.0, 81), theta0_detail().xi):
+            t_max, n = degennes_basis(xi)
+            small = rayleigh_ritz_mu(xi, t_max, n)
+            big = rayleigh_ritz_mu(xi, t_max, 2 * n)
+            assert small == degennes_mu(xi).mu
+            assert big <= small * (1.0 + 1e-10)
+            assert abs(small - big) <= 1e-9 * small
 
 
 def born_oppenheimer(theta):
@@ -86,9 +101,9 @@ def born_oppenheimer(theta):
 
 class TestHalfspaceSigma:
     def test_normal_field(self):
-        assert halfspace_sigma(math.pi / 2.0) == pytest.approx(1.0, abs=1e-2)
-        # the Dirichlet end at t_max = 60 costs (pi / 120)^2 = 6.9e-4
-        assert halfspace_sigma(math.pi / 2.0) <= 1.0 + 1e-3
+        # the Dirichlet end at t_max = 60 costs (pi / 120)^2 = 6.9e-4, so
+        # the solve is 1.0007; sigma <= 1 is a theorem, and 1 is returned
+        assert halfspace_sigma(math.pi / 2.0) == 1.0
 
     def test_tangent_field_delegates_to_theta0(self):
         assert halfspace_sigma(0.0) == theta0()
@@ -152,8 +167,10 @@ class TestHalfspaceSigma:
     def test_close_to_a_converged_reference(self, theta):
         # 4x the basis and a 1.5x longer t interval
         kappa, centre, scale, t_max, n_x, n_t = sigma_basis(theta)
-        ref = rayleigh_ritz_sigma(theta, kappa, centre, scale, 1.5 * t_max,
-                                  2 * n_x, 2 * n_t)
+        # the reference shares the truncation in t, so it too is capped at
+        # the Landau level
+        ref = min(1.0, rayleigh_ritz_sigma(theta, kappa, centre, scale,
+                                           1.5 * t_max, 2 * n_x, 2 * n_t))
         val = halfspace_sigma(theta)
         assert val >= ref - 1e-8
         assert val - ref <= (1e-4 if theta <= 0.9 else 2e-3)
@@ -164,7 +181,9 @@ class TestHalfspaceSigma:
         assert abs(fd_halfspace_sigma(theta) - halfspace_sigma(theta)) <= 2e-3
 
     def test_continuous_at_the_zero_snap(self):
-        assert abs(halfspace_sigma(2e-12) - halfspace_sigma(0.0)) <= 5e-6
+        # both sides are Rayleigh-Ritz values, 2e-9 apart
+        zero = halfspace_sigma(0.0)
+        assert zero <= halfspace_sigma(2e-12) <= zero + 1e-8
 
 
 class TestEnergyEstimate:
