@@ -9,7 +9,10 @@ profile r = b(phi) gives the upper bound
     E <= -( int sigma b^2 dphi / int b^2 dphi )^2,
     sigma = sqrt(1 + b^{-2} + b'^2 b^{-4}),
 
-which blows up like -C eps^{-2} as the section shrinks.
+which blows up like -C eps^{-2} as the section shrinks. With h the
+distance from the axis to the tangent line, the integrands are
+sqrt(1 + h^2) ds and h ds, so a polygon's bound is a sum over its edges
+and the best axis is a vertex of the kernel of the section.
 """
 
 import math
@@ -31,8 +34,8 @@ print(f"half space: {robin_model_energy('halfSpace'):12.6f}")
 
 # The section of the circular cone of opening alpha is a disc of radius
 # tan(alpha/2); the profile is constant, the averages collapse, and the
-# quadrature must land on -1/sin^2(alpha/2) exactly.
-print("\ncircular cones: quadrature bound vs closed form")
+# bound must land on -1/sin^2(alpha/2) exactly.
+print("\ncircular cones: profile bound vs closed form")
 for alpha in (math.pi / 6, math.pi / 3, math.pi / 2):
     prof = BoundaryProfile.from_disc(
         Disc(center=(0.0, 0.0), radius=math.tan(alpha / 2.0)))
@@ -47,9 +50,9 @@ square = Polygon([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
 tri = Polygon([(0.0, 0.0), (2.0, 0.0), (0.0, 1.0)])
 for name, sec in (("square", square), ("triangle", tri)):
     centroid_bound = robin_cone_upper_bound(BoundaryProfile.from_section(sec))
-    best, axis = robin_best_axis_bound(sec, refine=4)
+    best, axis = robin_best_axis_bound(sec)
     print(f"{name}: centroid-axis bound {centroid_bound:.6f}, "
-          f"best scanned axis ({axis[0]:.3f}, {axis[1]:.3f}) "
+          f"exact best axis ({axis[0]:.3f}, {axis[1]:.3f}) "
           f"gives {best:.6f}")
 
 # --- the eps^{-2} blow-up ----------------------------------------------------------

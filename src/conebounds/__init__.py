@@ -31,7 +31,7 @@ from .models import (ConcentrationThreshold, ConcentrationVerdict,
                      essential_spectrum_limit, halfspace_sigma, theta0,
                      theta0_detail, truncated_domain_edges,
                      wedge_energy_upper)
-from .robin import (BoundaryProfile, ProfilePiece, robin_best_axis_bound,
+from .robin import (BoundaryProfile, robin_best_axis_bound,
                     robin_cone_upper_bound, robin_model_energy,
                     robin_scaling_exponent)
 
@@ -56,7 +56,7 @@ __all__ = [
     "concentration_threshold", "cylinder_energy", "degennes_mu",
     "essential_spectrum_limit", "halfspace_sigma", "theta0", "theta0_detail",
     "truncated_domain_edges", "wedge_energy_upper",
-    "BoundaryProfile", "ProfilePiece", "robin_best_axis_bound",
+    "BoundaryProfile", "robin_best_axis_bound",
     "robin_cone_upper_bound", "robin_model_energy", "robin_scaling_exponent",
     "__version__",
 ]

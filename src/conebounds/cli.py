@@ -25,13 +25,12 @@ bound to each ``eps``, so a rung costs a multiplication, not a section
 build.
 
 The closed-form commands (``moments``, ``gauge``, ``bound``,
-``concentrate``, ``edges``, ``robin wedge``, ``sweep bound``, exact
-``spectrum1d``) and the half-space energies (``model theta0``, ``model
-sigma``, ``sweep sigma`` and ``ess``, all spectral Rayleigh-Ritz solves)
-run on numpy alone.  Only the finite-difference and quadrature solvers
-(``spectrum1d --method fd``, ``robin cone``, ``robin scaling``) import
-scipy, the first time they run, so the wall time of those commands
-includes that import.
+``concentrate``, ``edges``, ``robin wedge``, ``robin cone``, ``robin
+scaling``, ``sweep bound``, exact ``spectrum1d``) and the half-space
+energies (``model theta0``, ``model sigma``, ``sweep sigma`` and ``ess``,
+all spectral Rayleigh-Ritz solves) run on numpy alone.  Only the
+finite-difference solver of ``spectrum1d --method fd`` imports scipy, the
+first time it runs, so the wall time of that command includes the import.
 
 Exit codes: 0 success, 2 parse or usage errors, 3 domain errors
 (inadmissible geometry or parameters), 4 accuracy failures (hard accuracy
@@ -344,7 +343,7 @@ COMMANDS: dict[str, Command] = {
             for eps, est in essential_spectrum_limit(
                 cfg.field_components, section_from_json(cfg.section),
                 cfg.epsilons, cfg.c_floor)]},
-        ("Rayleigh-Ritz", "upper-bound", "lower-bound"), csv="upper"),
+        ("Rayleigh-Ritz", "upper-bound"), csv="upper"),
     "concentrate": Command(
         "corner-concentration threshold",
         (_SECTION, _FIELD, _CFLOOR,

@@ -9,9 +9,11 @@ the half-plane energy ``sigma(theta)`` is cross-checked by finite
 differences against the library's spectral Rayleigh-Ritz solve, and so
 is the de Gennes band ``mu(xi)`` (``fd_degennes_mu``); the
 radial projection of the cone onto a thin cylinder, with its Jacobian,
-gives the cone-versus-cylinder deviation checks; and ``ScalarPolygon``
-validates polygons by scalar loops over corners and edge pairs, the
-reference for the vectorised checks of ``Polygon``.
+gives the cone-versus-cylinder deviation checks; ``quad_robin_bound``
+integrates the Robin cone bound over the polar boundary profile with
+adaptive quadrature, the reference for the edge sums of ``robin``; and
+``ScalarPolygon`` validates polygons by scalar loops over corners and edge
+pairs, the reference for the vectorised checks of ``Polygon``.
 """
 
 import math
@@ -21,7 +23,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from conebounds import (Disc, DomainError, GeometryError, Moments, Polygon,
-                        TransverseGauge, UsageError, moments)
+                        TransverseGauge, UsageError, centroid, moments)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +211,86 @@ def fd_degennes_mu(xi, x_max=None, n=3000):
     val = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
                            eigvals_only=True)
     return float(val[0])
+
+
+# ---------------------------------------------------------------------------
+# Robin cone bound by adaptive quadrature of the polar profile
+# (independent of the edge sums of conebounds.robin)
+
+def _polar_pieces(section, axis):
+    """``(phi_lo, phi_hi, b, db)`` arcs of the polar profile ``r = b(phi)``.
+
+    A polygon edge at distance ``d`` from the axis, with outward normal at
+    angle ``phi_e``, gives ``b = d / cos(phi - phi_e)`` on the angle its
+    endpoints subtend; a disc gives one arc, constant about its centre.
+    """
+    if isinstance(section, Disc):
+        ax = section.center if axis is None else np.asarray(axis, float)
+        off = section.center - ax
+        c, r = math.hypot(off[0], off[1]), section.radius
+        if c >= r * (1.0 - 1e-12):
+            raise DomainError("axis must lie strictly inside the disc")
+        if c == 0.0:
+            return [(0.0, 2.0 * math.pi, lambda t: r, lambda t: 0.0)]
+        f = math.atan2(off[1], off[0])
+
+        def b(t):
+            s = math.sin(t - f)
+            return c * math.cos(t - f) + math.sqrt(r * r - c * c * s * s)
+
+        def db(t):
+            s, co = math.sin(t - f), math.cos(t - f)
+            return -c * s - c * c * s * co / math.sqrt(r * r - c * c * s * s)
+
+        return [(f, f + 2.0 * math.pi, b, db)]
+    ax = centroid(section) if axis is None else np.asarray(axis, float)
+    v = section.vertices - ax
+    n = len(v)
+    scale = float(np.abs(v).max())
+    lo = phi0 = math.atan2(v[0][1], v[0][0])
+    pieces = []
+    for i in range(n):
+        p, q = v[i], v[(i + 1) % n]
+        length = math.hypot(*(q - p))
+        nx, ny = (q - p)[1] / length, -(q - p)[0] / length
+        dist = float(p[0] * nx + p[1] * ny)
+        if dist <= 1e-12 * scale:
+            raise DomainError("axis is not strictly inside, or section is "
+                              "not star-shaped about it")
+        span = (math.atan2(q[1], q[0]) - math.atan2(p[1], p[0])) \
+            % (2.0 * math.pi)
+        if not (0.0 < span < math.pi):
+            raise DomainError("section is not star-shaped about the axis")
+        phi_e = math.atan2(ny, nx)
+        # unwrap the foot angle next to this piece
+        phi_e += round((lo + 0.5 * span - phi_e) / (2.0 * math.pi)) \
+            * 2.0 * math.pi
+        pieces.append((lo, lo + span,
+                       lambda t, d=dist, f=phi_e: d / math.cos(t - f),
+                       lambda t, d=dist, f=phi_e:
+                           d * math.sin(t - f) / math.cos(t - f) ** 2))
+        lo += span
+    if abs((lo - phi0) - 2.0 * math.pi) > 1e-9:
+        raise DomainError("edges do not wind once about the axis")
+    return pieces
+
+
+def quad_robin_bound(section, axis=None, eps=1.0):
+    """``-(int sigma b^2 / int b^2)^2``, ``sigma = sqrt(1 + b^-2 + b'^2 b^-4)``,
+    for the profile of the section dilated by ``eps`` about the axis: scipy
+    ``quad`` on each arc, 1e-12 absolute and relative."""
+    from scipy.integrate import quad
+
+    num = den = 0.0
+    for lo, hi, b, db in _polar_pieces(section, axis):
+        def f_num(t):
+            bb, dd = eps * b(t), eps * db(t)
+            return math.sqrt(1.0 + bb ** -2 + dd ** 2 / bb ** 4) * bb * bb
+
+        num += quad(f_num, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+        den += quad(lambda t: (eps * b(t)) ** 2, lo, hi, epsabs=1e-12,
+                    epsrel=1e-12, limit=200)[0]
+    return -(num / den) ** 2
 
 
 # ---------------------------------------------------------------------------

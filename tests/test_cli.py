@@ -117,8 +117,10 @@ class TestCommands:
             "ess", "--section", square_file, "--field", "1,0,0",
             "--eps", "0.4,0.2", "--cfloor", "0.5"])
         assert code == 0
+        # the lower ends are minima of Rayleigh-Ritz sigma values, which
+        # bound from above too, so nothing here is a lower bound
         assert report["result"]["provenance"] == ["Rayleigh-Ritz",
-                                                  "upper-bound", "lower-bound"]
+                                                  "upper-bound"]
 
     def test_robin_wedge(self, capsys):
         code, report = run_cli(capsys, ["robin", "wedge",
@@ -489,6 +491,10 @@ class TestImportCost:
             ["sweep", "sigma", "--thetas", "0,0.7"],
             ["ess", "--section", square_file, "--field", "0.3,-0.4,0.8",
              "--eps", "0.4,0.2", "--cfloor", "0.5"],
+            ["robin", "cone", "--section", square_file],
+            ["robin", "cone", "--section", disc_file, "--axis", "0.3,0"],
+            ["robin", "scaling", "--section", disc_file,
+             "--eps", "1,0.5,0.25,0.1"],
         ]
         proc = subprocess.run(
             [sys.executable, "-c", _SCIPY_PROBE, json.dumps(numpy_only)],
@@ -523,14 +529,24 @@ for argv in json.loads(sys.argv[2]):
         codes.append(cli.run(argv))
 models._sigma_cached.cache_info()
 print(json.dumps({"codes": codes,
-                  "calls": Counter(span[0] for span in tracer.spans)}))
+                  "calls": Counter(span[0] for span in tracer.spans),
+                  "counts": tracer.counts}))
 """
+
+
+def run_traced(argvs) -> dict:
+    """Run CLI argvs under the benchmark's tracer in a fresh interpreter."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACE_PROBE, perfbench, json.dumps(argvs)],
+        env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 class TestBenchmarkHooks:
     def test_tracer_installs_and_sees_the_section_builds(self, square_file):
-        perfbench = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "perfbench")
         argvs = [["bound", "--section", square_file, "--field", "0,0,1",
                   "--n", "3"],
                  ["sweep", "bound", "--section", square_file,
@@ -538,11 +554,7 @@ class TestBenchmarkHooks:
                  ["edges", "--section", square_file, "--eps", "0.3"],
                  ["model", "theta0"],
                  ["model", "sigma", "--theta", "0"]]
-        proc = subprocess.run(
-            [sys.executable, "-c", _TRACE_PROBE, perfbench, json.dumps(argvs)],
-            env=src_env(), capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout)
+        out = run_traced(argvs)
         assert out["codes"] == [0] * 5
         calls = out["calls"]
         assert calls["cli.invoke"] == calls["cli.execute"] == 5
@@ -552,6 +564,18 @@ class TestBenchmarkHooks:
         # theta0 and theta0_detail are still rebound
         assert calls["models.theta0"] >= 1
         assert calls["models.sigma"] == 1
+
+    def test_tracer_sees_the_robin_spans(self, square_file):
+        out = run_traced([["robin", "cone", "--section", square_file],
+                          ["robin", "scaling", "--section", square_file,
+                           "--eps", "1,0.5,0.25,0.1"]])
+        assert out["codes"] == [0, 0]
+        calls = out["calls"]
+        # one profile per command; one bound for cone, one per eps for scaling
+        assert calls["robin.profile"] == 2
+        assert calls["robin.cone_bound"] == 5
+        # one piece per edge of the square in every bound
+        assert out["counts"]["robin.pieces"] == 4 * calls["robin.cone_bound"]
 
 
 class TestEntryPoint:
