@@ -20,8 +20,7 @@ from .geometry import (Disc, Moments, Polygon, Section, centroid,
                        cone_edge_openings, cone_faces, disc_moments,
                        interior_angle, moments, polygon_moments,
                        scale_section, section_from_json, section_quadrature,
-                       section_to_json, spherical_vertex_opening,
-                       tangent_substructures)
+                       section_to_json, spherical_vertex_opening)
 from .halfline import (GridSpec, cone_quotient_consistency, default_grid,
                        exact_reduced_spectrum, fd_halfline_spectrum,
                        lambda_from_gauge, rayleigh_quotient_1d)
@@ -47,7 +46,7 @@ __all__ = [
     "cone_faces", "disc_moments",
     "interior_angle", "moments", "polygon_moments", "scale_section",
     "section_from_json", "section_quadrature", "section_to_json",
-    "spherical_vertex_opening", "tangent_substructures",
+    "spherical_vertex_opening",
     "GridSpec", "cone_quotient_consistency", "default_grid",
     "exact_reduced_spectrum", "fd_halfline_spectrum", "lambda_from_gauge",
     "rayleigh_quotient_1d",

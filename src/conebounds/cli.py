@@ -289,6 +289,20 @@ def _profile(cfg: RunConfig) -> BoundaryProfile:
                                         axis=cfg.axis)
 
 
+def _robin_cone(cfg: RunConfig) -> dict:
+    profile = _profile(cfg)
+    return {"bound": robin_cone_upper_bound(profile),
+            "axis": None if cfg.axis is None else list(cfg.axis),
+            "provenance": [profile.method, "upper-bound"]}
+
+
+def _robin_scaling(cfg: RunConfig) -> dict:
+    profile = _profile(cfg)
+    return {"epsilons": list(cfg.epsilons),
+            "exponent": robin_scaling_exponent(profile, cfg.epsilons),
+            "provenance": [profile.method]}
+
+
 class Command(NamedTuple):
     """One CLI command.  ``provenance`` is appended to the handler's payload
     when it is fixed; a handler sets it itself when it varies or must come
@@ -362,14 +376,10 @@ COMMANDS: dict[str, Command] = {
         ("exact",)),
     "robin.cone": Command(
         "cone upper bound from the polar profile", (_SECTION, _AXIS),
-        lambda cfg: {"bound": robin_cone_upper_bound(_profile(cfg)),
-                     "axis": None if cfg.axis is None else list(cfg.axis)},
-        ("quadrature", "upper-bound")),
+        _robin_cone),
     "robin.scaling": Command(
         "log-log scaling exponent", (_SECTION, _EPS_LIST, _AXIS),
-        lambda cfg: {"epsilons": list(cfg.epsilons), "exponent":
-                     robin_scaling_exponent(_profile(cfg), cfg.epsilons)},
-        ("quadrature",)),
+        _robin_scaling),
     "sweep.bound": Command(
         "e(B, eps*w) along a ladder",
         (_SECTION, _FIELD, _EPS_LIST,
@@ -426,7 +436,7 @@ def execute_config(cfg: RunConfig) -> dict:
     """Run one configured command and return its result payload.
 
     Every payload carries a ``provenance`` list saying how its numbers
-    were obtained: closed form ("exact"), adaptive quadrature
+    were obtained: closed form ("exact"), the periodic trapezoid rule
     ("quadrature"), finite differences ("FD"), a Rayleigh-Ritz (Galerkin)
     eigenvalue ("Rayleigh-Ritz"), and whether they bound the true quantity
     from one side ("upper-bound" / "lower-bound").
@@ -504,8 +514,12 @@ def run(argv: list[str] | None = None) -> int:
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        with open(cfg.csv_path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        try:
+            with open(cfg.csv_path, "w", encoding="utf-8") as fh:
+                fh.write(csv_text)
+        except OSError as exc:
+            print(f"error: cannot write CSV file: {exc}", file=sys.stderr)
+            return 2
     return code
 
 

@@ -12,12 +12,14 @@ form edge by edge (Green's theorem), for discs from the classical formulas,
 so no quadrature error enters the bounds.
 
 The module also carries the geometric bookkeeping needed by the spectral
-estimates: tangent substructures of a section (interior, one half-plane per
-edge, one wedge per corner), the outward normals of the lateral cone faces,
+estimates: the outward normals of the lateral cone faces (:func:`cone_faces`)
 and from them the opening of the tangent wedge along a cone edge (a
 dihedral angle, equal to the interior angle of the spherical section at the
-corresponding vertex).  The radial projection that compares a sharp cone
-with a thin cylinder lives with the tests (``tests/conftest.py::project_P``).
+corresponding vertex).  Both take ``eps = 0``, the reference cylinder over
+the section, whose tangent models (one half-space per side, one wedge per
+corner at the plane angle) are thus the same computation as the cone's.
+The radial projection that compares a sharp cone with a thin cylinder
+lives with the tests (``tests/conftest.py::project_P``).
 
 Conventions: angles in radians, vertices normalized to counterclockwise
 order, no implicit recentring of sections.  A separate helper reports the
@@ -349,23 +351,7 @@ def section_quadrature(section: Section, order: int = 12):
 
 
 # ---------------------------------------------------------------------------
-# tangent substructures
-
-@dataclass(frozen=True)
-class TangentSubstructure:
-    """One tangent model of the section: interior, side, or vertex.
-
-    For ``kind == "side"`` the outward unit normal of the edge is recorded
-    (the field angle against the matching half-space is filled in by the
-    model-operator layer, which knows the field).  For ``kind == "vertex"``
-    the plane opening angle at the corner is recorded.
-    """
-
-    kind: str                      # "interior" | "side" | "vertex"
-    index: int = -1                # edge or vertex index, -1 for interior
-    outward_normal: tuple[float, float] | None = None
-    opening: float | None = None
-
+# corner angles, cone faces and cone-edge openings
 
 def _corner_angles(polygon: Polygon, idx: np.ndarray) -> np.ndarray:
     """Interior corner angles at the vertices ``idx``, in (0, 2*pi).
@@ -393,53 +379,37 @@ def interior_angle(polygon: Polygon, i: int) -> float:
     Reflex corners of nonconvex polygons give angles above pi.  A straight
     corner (collinear neighbours) gives pi: its two sides, and the two cone
     faces over them, are coplanar, so its tangent model is the half-plane
-    the side entries already cover.  Angles at (numerically) 0 or 2*pi are
+    that either face already gives.  Angles at (numerically) 0 or 2*pi are
     rejected: the tangent wedge is not defined there.
     """
     return float(_corner_angles(polygon,
                                 np.array([i % polygon.n_vertices]))[0])
 
 
-def tangent_substructures(polygon: Polygon) -> list[TangentSubstructure]:
-    """Enumerate the tangent models of a polygonal section.
-
-    One interior entry, one side entry per edge (with outward unit normal),
-    one vertex entry per corner (with plane opening angle).
-    """
-    v = polygon.vertices
-    n = len(v)
-    out = [TangentSubstructure(kind="interior")]
-    for i in range(n):
-        d = v[(i + 1) % n] - v[i]
-        norm = math.hypot(d[0], d[1])
-        # outward normal of a CCW boundary is the edge direction rotated -90
-        out.append(TangentSubstructure(
-            kind="side", index=i,
-            outward_normal=(d[1] / norm, -d[0] / norm)))
-    angles = _corner_angles(polygon, np.arange(n))
-    return out + [TangentSubstructure(kind="vertex", index=i, opening=a)
-                  for i, a in enumerate(angles.tolist())]
-
-
-# ---------------------------------------------------------------------------
-# cone faces and cone-edge openings
-
 def cone_faces(polygon: Polygon, eps: float) -> np.ndarray:
     """Outward unit normals of the lateral faces of the cone over ``eps * polygon``.
 
     Row ``i`` belongs to the face through the lifted vertices
-    ``L(v_i), L(v_{i+1})``, ``L(q) = (eps*q, 1)``, and is
-    ``L(v_{i+1}) x L(v_i)`` normalized.  For counterclockwise vertices it
-    points out of the cone whether or not the polygon is convex, since
-    ``n . L(q) = -eps^2 cross(v_{i+1} - v_i, q - v_i)``.
+    ``L(v_i), L(v_{i+1})``, ``L(q) = (eps*q, 1)``.  It is
+    ``(d_y, -d_x, eps (v_{i+1} x v_i))`` normalized, ``d = v_{i+1} - v_i``,
+    the direction of ``L(v_{i+1}) x L(v_i)`` for ``eps > 0``.  For
+    counterclockwise vertices it points out of the cone whether or not the
+    polygon is convex, since its product with ``L(q)`` is
+    ``-eps cross(d, q - v_i)``.  ``eps = 0`` is the reference cylinder over
+    the polygon: the rows are its horizontal outward side normals.  Each
+    row is divided by its largest entry before it is normalized, so no
+    square overflows or underflows; an ``eps`` so large that
+    ``eps (v_{i+1} x v_i)`` overflows raises ``GeometryError``.
     """
     e = float(eps)
-    if not (e > 0.0) or not math.isfinite(e):
-        raise GeometryError("eps must be positive")
-    lifted = np.column_stack([e * polygon.vertices,
-                              np.ones(polygon.n_vertices)])
-    normals = np.cross(np.roll(lifted, -1, axis=0), lifted)
-    return normals / np.linalg.norm(normals, axis=1)[:, None]
+    if not (e >= 0.0) or not math.isfinite(e):
+        raise GeometryError("eps must be finite and nonnegative")
+    x, y, xn, yn, c = _shoelace(polygon.vertices)
+    if math.isinf(e * float(np.abs(c).max())):
+        raise GeometryError("eps times the polygon overflows")
+    rows = np.column_stack([yn - y, x - xn, -e * c])
+    rows /= np.abs(rows).max(axis=1)[:, None]
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
 
 
 def _edge_openings(polygon: Polygon, eps: float, idx: np.ndarray) -> np.ndarray:

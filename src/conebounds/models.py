@@ -18,9 +18,12 @@ faces, wedges along the edges.  The corresponding scalar model energies
   plane or tangent to a face).
 
 Combining the three classes gives two-sided estimates for the essential
-energy of the reference cylinder over a section and of sharpening cones,
-and an explicit threshold for when the apex bound drops below every
-non-apex channel, certifying corner concentration.
+energy of sharpening cones and of the reference cylinder over a section,
+which is the cone at ``eps = 0``: both read the face and edge channels off
+:func:`~conebounds.geometry.cone_faces` and
+:func:`~conebounds.geometry.cone_edge_openings`.  An explicit threshold
+says when the apex bound drops below every non-apex channel, certifying
+corner concentration.
 
 Every half-space energy here (the de Gennes band ``mu(xi)``, ``Theta_0``
 and ``sigma(theta)``) is a Rayleigh-Ritz value on a spectral basis, so an
@@ -39,7 +42,7 @@ import numpy as np
 from .errors import DomainError, SolverError, UsageError
 from .gauge import MagneticField, e_constant
 from .geometry import (Polygon, Section, cone_edge_openings, cone_faces,
-                       moments, tangent_substructures)
+                       moments)
 
 #: Provenance kinds carried by estimates.
 UPPER_BOUND = "UpperBound"
@@ -332,12 +335,6 @@ def wedge_energy_upper(alpha: float, field_norm: float = 1.0) -> EnergyEstimate:
         source="wedge leading order, orientation-restricted")
 
 
-def _field_angle_to_plane(bhat: np.ndarray, normal: np.ndarray) -> float:
-    """Unsigned angle in [0, pi/2] between a unit field and a plane."""
-    n = normal / np.linalg.norm(normal)
-    return math.asin(min(1.0, abs(float(bhat @ n))))
-
-
 def _assemble_two_sided(field_norm: float, sigmas: list[float],
                         openings: list[float], c_floor: float,
                         source: str) -> EnergyEstimate:
@@ -368,36 +365,45 @@ def _check_c_floor(c_floor: float) -> float:
     return c
 
 
-def cylinder_energy(field, section: Section, c_floor: float) -> EnergyEstimate:
-    """Two-sided estimate for the reference cylinder over a polygonal section.
-
-    The cylinder ``w x R`` has tangent models: full space in the interior,
-    one half-space per side (boundary plane spanned by the edge and the
-    axis), one axis-parallel wedge per corner with the plane opening angle.
-    The upper value is the least of the channel upper values, the lower
-    value the least of the channel lower values with wedges floored at
-    ``c_floor * |B|``.  Homogeneous of degree one in the field.
-    """
+def _checked_inputs(field, section: Section, c_floor: float,
+                    what: str) -> tuple[MagneticField, float]:
     b = MagneticField.from_any(field)
     c = _check_c_floor(c_floor)
     if not isinstance(section, Polygon):
-        raise UsageError("cylinder estimates need a polygonal section")
+        raise UsageError(f"{what} estimates need a polygonal section")
+    return b, c
+
+
+def _tangent_estimate(b: MagneticField, section: Polygon, eps: float,
+                      c_floor: float, source: str) -> EnergyEstimate:
+    """Two-sided estimate from the tangent models of the cone over
+    ``eps * section``, the reference cylinder at ``eps = 0``: one half-space
+    per row of :func:`cone_faces`, at the angle ``arcsin(|N . B| / |B|)`` to
+    the field, and one wedge per cone edge."""
     if b.norm == 0.0:
         return EnergyEstimate(kind=TWO_SIDED, lower=0.0, upper=0.0,
                               source="zero field")
-    bhat = b.as_array() / b.norm
-    sigmas = []
-    openings = []
-    for sub in tangent_substructures(section):
-        if sub.kind == "side":
-            nx, ny = sub.outward_normal
-            th = _field_angle_to_plane(bhat, np.array([nx, ny, 0.0]))
-            sigmas.append(halfspace_sigma(th))
-        elif sub.kind == "vertex":
-            openings.append(sub.opening)
+    thetas = np.arcsin(np.minimum(
+        1.0, np.abs(cone_faces(section, eps) @ b.as_array()) / b.norm))
     return _assemble_two_sided(
-        b.norm, sigmas, openings, c,
-        source="cylinder tangent models; " + _SIGMA_SOURCE)
+        b.norm, [halfspace_sigma(th) for th in thetas.tolist()],
+        cone_edge_openings(section, eps).tolist(), c_floor,
+        source + _SIGMA_SOURCE)
+
+
+def cylinder_energy(field, section: Section, c_floor: float) -> EnergyEstimate:
+    """Two-sided estimate for the reference cylinder over a polygonal section.
+
+    The cylinder ``w x R`` is the cone over ``eps * w`` at ``eps = 0``.  Its
+    tangent models are full space in the interior, one half-space per side
+    (boundary plane spanned by the edge and the axis), one axis-parallel
+    wedge per corner with the plane opening angle.  The upper value is the
+    least of the channel upper values, the lower value the least of the
+    channel lower values with wedges floored at ``c_floor * |B|``.
+    Homogeneous of degree one in the field.
+    """
+    b, c = _checked_inputs(field, section, c_floor, "cylinder")
+    return _tangent_estimate(b, section, 0.0, c, "cylinder tangent models; ")
 
 
 def essential_spectrum_limit(field, section: Section, epsilons,
@@ -410,32 +416,18 @@ def essential_spectrum_limit(field, section: Section, epsilons,
     and two consecutive lifted vertices), one wedge per cone edge with the
     spherical opening.  As ``eps -> 0`` the face planes tend to the
     cylinder's vertical planes and the openings tend to the plane corner
-    angles, so these estimates converge to :func:`cylinder_energy`.
+    angles, so these estimates converge to :func:`cylinder_energy`, which
+    is the same computation at ``eps = 0``.
     """
-    b = MagneticField.from_any(field)
-    c = _check_c_floor(c_floor)
-    if not isinstance(section, Polygon):
-        raise UsageError("essential spectrum estimates need a polygonal section")
+    b, c = _checked_inputs(field, section, c_floor, "essential spectrum")
     eps_list = [float(e) for e in epsilons]
     if not eps_list or any(not (e > 0.0) for e in eps_list):
         raise DomainError("epsilons must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise DomainError("epsilons must be strictly decreasing")
-    out = []
-    for eps in eps_list:
-        if b.norm == 0.0:
-            out.append((eps, EnergyEstimate(kind=TWO_SIDED, lower=0.0,
-                                            upper=0.0, source="zero field")))
-            continue
-        bhat = b.as_array() / b.norm
-        openings = cone_edge_openings(section, eps).tolist()
-        thetas = np.arcsin(np.minimum(1.0, np.abs(cone_faces(section, eps)
-                                                  @ bhat)))
-        sigmas = [halfspace_sigma(th) for th in thetas.tolist()]
-        out.append((eps, _assemble_two_sided(
-            b.norm, sigmas, openings, c,
-            source=f"cone tangent models at eps={eps:g}; " + _SIGMA_SOURCE)))
-    return out
+    return [(eps, _tangent_estimate(
+        b, section, eps, c, f"cone tangent models at eps={eps:g}; "))
+        for eps in eps_list]
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +513,10 @@ def truncated_domain_edges(section: Section, eps: float) -> TruncatedEdgeReport:
     if not (e > 0.0) or not math.isfinite(e):
         raise DomainError("eps must be positive")
     lateral = cone_edge_openings(section, e)
-    # the cut plane's outward normal is +z
-    top = math.pi - np.arccos(np.clip(cone_faces(section, e)[:, 2], -1.0, 1.0))
+    # the cut plane's outward normal is +z, so the rim opening is
+    # pi - arccos(n_z), taken by atan2 to keep it accurate near 0 and pi
+    faces = cone_faces(section, e)
+    top = np.arctan2(np.hypot(faces[:, 0], faces[:, 1]), -faces[:, 2])
     both = np.concatenate([lateral, top])
     return TruncatedEdgeReport(
         eps=e, lateral=tuple(enumerate(lateral.tolist())),

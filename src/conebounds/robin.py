@@ -137,6 +137,15 @@ class BoundaryProfile:
             return cls.from_disc(section, axis=axis)
         raise UsageError(f"not a section: {section!r}")
 
+    @property
+    def method(self) -> str:
+        """How :func:`robin_cone_upper_bound` evaluates this profile:
+        ``"exact"`` (a closed form) for a polygon or a disc about its
+        centre, ``"quadrature"`` (the rim trapezoid rule) for a disc about
+        any other axis."""
+        return "quadrature" if self.disc and self.pieces[0, 1] != 0.0 \
+            else "exact"
+
     def scaled(self, eps: float) -> "BoundaryProfile":
         """Profile of the section dilated by ``eps`` about the axis."""
         e = float(eps)

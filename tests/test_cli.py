@@ -144,6 +144,27 @@ class TestCommands:
         assert code == 0
         assert report["result"]["exponent"] == pytest.approx(-2.0, abs=0.05)
 
+    @pytest.mark.parametrize("doc, axis, method", [
+        (SQUARE_DOC, None, "exact"),
+        (DISC_DOC, None, "exact"),
+        (DISC_DOC, "0.3,0", "quadrature"),
+    ])
+    def test_robin_provenance(self, capsys, tmp_path, doc, axis, method):
+        # an edge sum, -(1 + r^-2) about a disc's centre, and the rim
+        # trapezoid rule only about any other axis of a disc
+        path = tmp_path / "section.json"
+        path.write_text(json.dumps(doc))
+        extra = [] if axis is None else ["--axis", axis]
+        code, report = run_cli(capsys, ["robin", "cone", "--section",
+                                        str(path)] + extra)
+        assert code == 0
+        assert report["result"]["provenance"] == [method, "upper-bound"]
+        code, report = run_cli(capsys, ["robin", "scaling", "--section",
+                                        str(path), "--eps", "1,0.5,0.1"]
+                               + extra)
+        assert code == 0
+        assert report["result"]["provenance"] == [method]
+
     def test_edges(self, capsys, square_file):
         code, report = run_cli(capsys, ["edges", "--section", square_file,
                                         "--eps", "0.3"])
@@ -259,6 +280,18 @@ class TestSweepsAndCsv:
                                         str(csv_path), "--quantity", "kind"])
         assert code == 2
         assert report["result"]["rows"][0]["kind"] == "TwoSided"
+        assert not csv_path.exists()
+
+    def test_unwritable_csv_path_is_a_usage_error(self, capsys, disc_file,
+                                                  tmp_path):
+        csv_path = tmp_path / "missing" / "sweep.csv"
+        code = run(["sweep", "bound", "--section", disc_file, "--field",
+                    "0,0,1", "--eps", "1,0.5", "--csv", str(csv_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert json.loads(out)["result"]["rows"][1]["eps"] == 0.5
+        assert err.startswith("error: cannot write CSV file: ")
+        assert str(csv_path) in err
         assert not csv_path.exists()
 
     def test_emit_plot_data_empty_report(self):

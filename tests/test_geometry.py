@@ -10,8 +10,7 @@ from conebounds import (Disc, GeometryError, Polygon, UsageError, centroid,
                         cone_edge_openings, cone_faces, disc_moments,
                         interior_angle, moments, polygon_moments,
                         scale_section, section_from_json, section_quadrature,
-                        section_to_json, spherical_vertex_opening,
-                        tangent_substructures)
+                        section_to_json, spherical_vertex_opening)
 from conftest import (ScalarPolygon, project_P, projection_jacobian,
                       quad_moments, random_star_polygon)
 
@@ -313,43 +312,37 @@ class TestSectionQuadrature:
 
 
 class TestTangentSubstructures:
+    # the reference cylinder over the section is the cone at eps = 0: one
+    # vertical half-space per side, one wedge per corner at the plane angle
     def test_square_inventory(self, centered_square):
-        subs = tangent_substructures(centered_square)
-        kinds = [s.kind for s in subs]
-        assert kinds.count("interior") == 1
-        assert kinds.count("side") == 4
-        assert kinds.count("vertex") == 4
-        for s in subs:
-            if s.kind == "vertex":
-                assert s.opening == pytest.approx(math.pi / 2, abs=1e-12)
-            if s.kind == "side":
-                nx, ny = s.outward_normal
-                assert math.hypot(nx, ny) == pytest.approx(1.0, abs=1e-14)
+        faces = cone_faces(centered_square, 0)
+        ops = cone_edge_openings(centered_square, 0)
+        assert faces.shape == (4, 3) and ops.shape == (4,)
+        assert ops == pytest.approx([math.pi / 2] * 4, abs=1e-12)
+        assert np.all(faces[:, 2] == 0.0)
+        assert np.linalg.norm(faces, axis=1) == pytest.approx(
+            [1.0] * 4, abs=1e-14)
 
     def test_square_outward_normals(self, centered_square):
-        subs = [s for s in tangent_substructures(centered_square)
-                if s.kind == "side"]
-        normals = sorted((round(s.outward_normal[0], 12),
-                          round(s.outward_normal[1], 12)) for s in subs)
+        faces = cone_faces(centered_square, 0)
+        normals = sorted((round(nx, 12), round(ny, 12))
+                         for nx, ny, _ in faces.tolist())
         assert normals == [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
 
     def test_triangle_openings(self, unit_triangle):
-        ops = sorted(s.opening for s in tangent_substructures(unit_triangle)
-                     if s.kind == "vertex")
+        ops = sorted(cone_edge_openings(unit_triangle, 0))
         assert ops == pytest.approx([math.pi / 4, math.pi / 4, math.pi / 2],
                                     abs=1e-12)
 
     def test_hexagon_openings(self):
         phi = 2.0 * np.pi * np.arange(6) / 6.0
         hexa = Polygon(np.column_stack([np.cos(phi), np.sin(phi)]))
-        for s in tangent_substructures(hexa):
-            if s.kind == "vertex":
-                assert s.opening == pytest.approx(2 * math.pi / 3, abs=1e-12)
+        assert cone_edge_openings(hexa, 0) == pytest.approx(
+            [2 * math.pi / 3] * 6, abs=1e-12)
 
     def test_reflex_corner_opening(self):
         arrow = Polygon([(0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)])
-        ops = [s.opening for s in tangent_substructures(arrow)
-               if s.kind == "vertex"]
+        ops = cone_edge_openings(arrow, 0)
         assert any(op > math.pi for op in ops)
         assert sum(ops) == pytest.approx((5 - 2) * math.pi, abs=1e-9)
 
@@ -358,11 +351,7 @@ class TestTangentSubstructures:
         # the two cone faces over its sides are coplanar, the edge is flat
         flat = Polygon([(-1, -1), (0, -1), (1, -1), (1, 1), (-1, 1)])
         assert interior_angle(flat, 1) == pytest.approx(math.pi, abs=1e-12)
-        ops = [s.opening for s in tangent_substructures(flat)
-               if s.kind == "vertex"]
-        assert ops == pytest.approx([math.pi / 2, math.pi] + [math.pi / 2] * 3,
-                                    abs=1e-12)
-        for eps in (0.05, 0.3, 1.2):
+        for eps in (0.0, 0.05, 0.3, 1.2):
             got = cone_edge_openings(flat, eps)
             assert got[1] == pytest.approx(math.pi, abs=1e-12)
             assert np.delete(got, 1) == pytest.approx(
@@ -375,10 +364,9 @@ class TestTangentSubstructures:
                          (0.5, 1), (0, 1)])
         with pytest.raises(GeometryError, match="vertex 4"):
             interior_angle(spiky, 4)
-        with pytest.raises(GeometryError, match="vertex 4"):
-            tangent_substructures(spiky)
-        with pytest.raises(GeometryError, match="vertex 4"):
-            cone_edge_openings(spiky, 0.3)
+        for eps in (0.0, 0.3):
+            with pytest.raises(GeometryError, match="vertex 4"):
+                cone_edge_openings(spiky, eps)
 
 
 class TestProjectP:
@@ -494,8 +482,24 @@ class TestSphericalVertexOpening:
         assert op > math.pi
 
     def test_bad_eps(self, centered_square):
-        with pytest.raises(GeometryError):
-            spherical_vertex_opening(centered_square, 0, 0.0)
+        for eps in (-1e-300, -0.3, math.nan, math.inf):
+            with pytest.raises(GeometryError):
+                spherical_vertex_opening(centered_square, 0, eps)
+            with pytest.raises(GeometryError):
+                cone_faces(centered_square, eps)
+        # eps (v_{i+1} x v_i) overflows: an error, not a row of nan
+        big = Polygon(1e5 * centered_square.vertices)
+        with pytest.raises(GeometryError, match="overflows"):
+            cone_faces(big, 1e300)
+
+    def test_eps_zero_is_interior_angle(self):
+        # the cylinder's wedges open at the plane corner angles, reflex
+        # corners included
+        poly = Polygon([(0.3, 0.2), (2.1, 0.5), (1.7, 1.9), (0.9, 1.1),
+                        (0.2, 1.4)])
+        for i in range(poly.n_vertices):
+            assert spherical_vertex_opening(poly, i, 0.0) == pytest.approx(
+                interior_angle(poly, i), abs=1e-14)
 
 
 class TestSectionJson:

@@ -347,6 +347,15 @@ class TestEssentialSpectrumLimit:
                 assert g.lower == pytest.approx(w.lower, abs=1e-12)
                 assert g.upper == pytest.approx(w.upper, abs=1e-12)
 
+    def test_tiny_eps_is_the_cylinder(self, centered_square):
+        # at eps = 1e-170 the face normals' z parts square to below the
+        # smallest double, so every channel is the cylinder's
+        for field in ((0, 0, 1), (0.3, -0.4, 0.8)):
+            (_, est), = essential_spectrum_limit(field, centered_square,
+                                                 [1e-170], c_floor=0.3)
+            cyl = cylinder_energy(field, centered_square, c_floor=0.3)
+            assert (est.lower, est.upper) == (cyl.lower, cyl.upper)
+
     def test_zero_field_flagged(self, centered_square):
         est = essential_spectrum_limit((0, 0, 0), centered_square,
                                        [0.4, 0.2], c_floor=0.3)
@@ -437,6 +446,22 @@ class TestTruncatedEdges:
             for _, op in rep.top:
                 assert op == pytest.approx(math.pi / 2.0 - math.atan(eps),
                                            rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e-170, 1e-8, 0.3, 1e8, 1e170,
+                                     1e300])
+    def test_square_closed_forms_at_extreme_eps(self, centered_square, eps):
+        # lateral pi/2 + arcsin(eps^2 / (1 + eps^2)) and rim atan(1/eps),
+        # both written so that no intermediate overflows
+        lateral = math.pi / 2 + math.atan2(eps, math.hypot(1 / eps,
+                                                           math.sqrt(2)))
+        rim = math.atan2(1.0, eps)
+        rep = truncated_domain_edges(centered_square, eps)
+        assert [op for _, op in rep.lateral] == pytest.approx([lateral] * 4,
+                                                              rel=1e-12)
+        assert [op for _, op in rep.top] == pytest.approx([rim] * 4,
+                                                          rel=1e-12)
+        assert rep.beta0 == pytest.approx(min(rim, 2 * math.pi - lateral),
+                                          rel=1e-12)
 
     def test_square_certifies_beta0(self, centered_square):
         rep = truncated_domain_edges(centered_square, 0.3)
