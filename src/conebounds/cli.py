@@ -19,6 +19,14 @@ included, follow the subcommand.  Only the sweep commands (``ess``,
 ``sweep bound``, ``sweep sigma``) take ``--csv`` and ``--quantity``, and
 ``--quantity`` only together with ``--csv``.
 
+A call pays only for its own command: :func:`parse_args` builds the
+parser path that ``argv`` names (root, group, leaf), not the whole tree.
+The full tree is built only when ``argv`` names no command (root help,
+a group alone, an unknown name) or the leaf leaves arguments over, so
+every help, usage and error text is the full tree's.  The report is
+written by one pass over the payload, and its ``config`` echoes the
+field values without copying them.
+
 ``sweep bound`` uses the dilation identity ``e(B, eps w) = eps e(B, w)``:
 it builds and validates the section once, bounds it once, and scales that
 bound to each ``eps``, so a rung costs a multiplication, not a section
@@ -47,7 +55,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -88,7 +96,9 @@ class RunConfig:
     strict: bool = False
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # shallow: the report echoes the field values, it does not copy them
+        return {name: getattr(self, name)
+                for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -105,6 +115,10 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # serialization with fixed float formatting
 
+#: ``json.dumps`` of a str: ASCII-escaped and double-quoted.
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _fmt_float(x: float) -> str:
     if math.isnan(x):
         return '"nan"'
@@ -113,32 +127,66 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps_report(obj, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits."""
-    pad = "  " * indent
-    pad_in = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [dumps_report(v, indent + 1) for v in obj]
-        if not items:
-            return "[]"
-        return "[\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "]"
+def _write(obj, pad: str, out: list) -> None:
+    """Append the JSON text of the list or dict ``obj`` to ``out``; ``pad``
+    indents its closing bracket.  Scalars are written in the loop, so only
+    nested containers recurse."""
     if isinstance(obj, dict):
-        items = [f"{json.dumps(str(k))}: {dumps_report(v, indent + 1)}"
-                 for k, v in obj.items()]
-        if not items:
-            return "{}"
-        return "{\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "}"
-    raise UsageError(f"cannot serialize {type(obj).__name__}")
+        items = ((_quote(str(k)) + ": ", v) for k, v in obj.items())
+        brackets = "{}"
+    else:
+        items = (("", v) for v in obj)
+        brackets = "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    start = len(out)
+    for key, v in items:
+        out.append(sep)
+        out.append(key)
+        fmt = _SCALARS.get(type(v))
+        if fmt is not None:
+            out.append(fmt(v))
+        else:
+            _write_value(v, inner, out)
+    if len(out) == start:
+        out.append(brackets)
+    else:
+        out[start] = brackets[0] + "\n" + inner
+        out.append("\n" + pad + brackets[1])
+
+
+def _write_value(obj, pad: str, out: list) -> None:
+    """Append the JSON text of any serializable ``obj``: None, bool,
+    integer, float and str (numpy scalars included), then a list, tuple,
+    array or dict."""
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_fmt_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, (list, tuple, np.ndarray, dict)):
+        _write(obj, pad, out)
+    else:
+        raise UsageError(f"cannot serialize {type(obj).__name__}")
+
+
+#: Exact scalar types and their writers; anything else takes ``_write_value``.
+_SCALARS = {float: _fmt_float, int: str, str: _quote,
+            bool: lambda b: "true" if b else "false",
+            type(None): lambda _: "null"}
+
+
+def dumps_report(obj, indent: int = 0) -> str:
+    """JSON text with floats at 17 significant digits, two spaces per
+    nesting level, ``indent`` levels in; written in one pass."""
+    out: list[str] = []
+    _write_value(obj, "  " * indent, out)
+    return "".join(out)
 
 
 def emit_plot_data(report: dict, quantity: str) -> str:
@@ -403,12 +451,14 @@ def _options(cmd: Command) -> tuple[Option, ...]:
 # ---------------------------------------------------------------------------
 # parsing and dispatch, read off the table
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The parser tree of the commands ``names`` (dotted, default all)."""
     ap = argparse.ArgumentParser(prog="conebounds", description=(
         "Eigenvalue upper bounds for sharp magnetic cones"))
     sub = ap.add_subparsers(dest="command", required=True)
     groups = {}
-    for name, cmd in COMMANDS.items():
+    for name in names:
+        cmd = COMMANDS[name]
         group, _, leaf = name.rpartition(".")
         if group and group not in groups:
             groups[group] = sub.add_parser(
@@ -419,6 +469,28 @@ def build_parser() -> argparse.ArgumentParser:
         for opt in _options(cmd):
             p.add_argument(opt.flag, dest=opt.field, **opt.kw)
     return ap
+
+
+#: Command-line path (``("robin", "cone")``) -> dotted command name.
+_BY_PATH = {tuple(name.split(".")): name for name in COMMANDS}
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse ``argv`` (default ``sys.argv[1:]``) as the full tree would.
+
+    When ``argv`` starts with a command's name, only that command's path
+    (root, group, leaf) is built.  Help, usage and every error the leaf
+    raises are the same as in the full tree; the root's are not, so a
+    call that leaves arguments over, or names no command, is parsed again
+    by the full tree.
+    """
+    args = sys.argv[1:] if argv is None else list(argv)
+    name = _BY_PATH.get(tuple(args[:2 if args and args[0] in GROUPS else 1]))
+    if name is not None:
+        ns, extra = build_parser((name,)).parse_known_args(args)
+        if not extra:
+            return ns
+    return build_parser().parse_args(args)
 
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
@@ -496,7 +568,7 @@ def _error_report(cfg: RunConfig, kind: str, message: str) -> dict:
 
 def run(argv: list[str] | None = None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        ns = parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -13,9 +13,12 @@ gives the cone-versus-cylinder deviation checks; ``quad_robin_bound``
 integrates the Robin cone bound over the polar boundary profile with
 adaptive quadrature, the reference for the edge sums of ``robin``; and
 ``ScalarPolygon`` validates polygons by scalar loops over corners and edge
-pairs, the reference for the vectorised checks of ``Polygon``.
+pairs, the reference for the vectorised checks of ``Polygon``; and
+``reference_dumps_report`` serializes a report by one recursive call per
+value, the reference for the one-pass writer of ``cli.dumps_report``.
 """
 
+import json
 import math
 
 import numpy as np
@@ -354,6 +357,47 @@ class ScalarPolygon(Polygon):
                 if _segments_intersect(a, b, c, d):
                     raise GeometryError(
                         f"boundary self-intersects (edges {i} and {j})")
+
+
+# ---------------------------------------------------------------------------
+# report serialization by recursion (independent of the one-pass writer)
+
+def _reference_float(x: float) -> str:
+    if math.isnan(x):
+        return '"nan"'
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return format(x, ".17g")
+
+
+def reference_dumps_report(obj, indent: int = 0) -> str:
+    """JSON text with floats at 17 significant digits, one call per value."""
+    pad = "  " * indent
+    pad_in = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _reference_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        items = [reference_dumps_report(v, indent + 1) for v in obj]
+        if not items:
+            return "[]"
+        return "[\n" + ",\n".join(pad_in + s for s in items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(str(k))}: "
+                 f"{reference_dumps_report(v, indent + 1)}"
+                 for k, v in obj.items()]
+        if not items:
+            return "{}"
+        return ("{\n" + ",\n".join(pad_in + s for s in items)
+                + "\n" + pad + "}")
+    raise UsageError(f"cannot serialize {type(obj).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,24 @@
 """Command-line driver: dispatch, report envelope, exit codes, CSV export."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import conebounds
-from conebounds import (models, rayleigh_upper_bounds, scale_section,
+from conebounds import (cli, models, rayleigh_upper_bounds, scale_section,
                         section_from_json, theta0)
-from conebounds.cli import (COMMANDS, RunConfig, dumps_report, emit_plot_data,
-                            run, run_config)
+from conebounds.cli import (COMMANDS, RunConfig, build_parser, dumps_report,
+                            emit_plot_data, run, run_config)
 from conebounds.errors import UsageError
+from conftest import reference_dumps_report
 
 DISC_DOC = {"disc": {"center": [0.0, 0.0], "radius": 1.0}}
 SQUARE_DOC = {"polygon": [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]}
@@ -651,3 +656,143 @@ class TestReadme:
         names = [argv[0] if argv[0] in COMMANDS else ".".join(argv[:2])
                  for argv in readme_cli_examples()]
         assert sorted(names) == sorted(COMMANDS)
+
+
+class TestReportWriter:
+    """The one-pass ``dumps_report`` writes what the recursive reference
+    (``conftest.reference_dumps_report``) writes, byte for byte."""
+
+    def test_every_command_report_matches_the_reference(
+            self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "disc.json").write_text(json.dumps(DISC_DOC))
+        (tmp_path / "square.json").write_text(json.dumps(SQUARE_DOC))
+        monkeypatch.chdir(tmp_path)
+        seen = []
+
+        def spy(obj, indent=0):
+            text = dumps_report(obj, indent)
+            seen.append((obj, text))
+            return text
+
+        monkeypatch.setattr(cli, "dumps_report", spy)
+        commands = set()
+        for argv in readme_cli_examples():
+            assert run(argv) == 0
+            commands.add(seen[-1][0]["command"])
+        capsys.readouterr()
+        assert commands == set(COMMANDS)
+        for report, text in seen:
+            assert text == reference_dumps_report(report)
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, (), {"a": [], "b": {}, "c": ()}, [[], [{}], [[[]]]],
+        ((1, (2.5, ())), ("x",), ((), ((None,),))),
+        np.arange(3), np.array([[1.0, -2.5], [np.nan, np.inf]]),
+        np.zeros((2, 0)), np.array([True, False]),
+        [np.float64(0.1), np.float32(0.1), np.int32(-7), np.uint8(200),
+         np.int64(2 ** 62), np.bool_(True), np.bool_(False)],
+        [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308,
+         0.1, 1.0, 2 ** 70, True, False, None],
+        {"a\"b\\c\n\u00e9\u2603": "x\ty\u2028\U0001f600\x00", 1: 2,
+         None: 3, 2.5: [4], True: {"": ""}},
+        {"rows": [{"eps": 0.5, "e": 1.25, "nested": {"k": [1, [2, [3]]]}}]},
+        np.float64(np.nan), np.int16(3), "plain", 3, -1.5, None, True,
+    ], ids=lambda o: type(o).__name__)
+    @pytest.mark.parametrize("indent", [0, 1, 3])
+    def test_edge_cases_match_the_reference(self, obj, indent):
+        assert dumps_report(obj, indent) == reference_dumps_report(obj,
+                                                                   indent)
+
+    @pytest.mark.parametrize("obj", [
+        object(), {1, 2}, [object()], {"x": object()},
+        {"a": [1, 2, {"b": (3, [object()])}]}, [[[[b"bytes"]]]],
+        ({"ok": 1.0}, [2.0, {"deep": [complex(1, 2)]}]),
+    ], ids=repr)
+    def test_opaque_objects_raise_at_any_depth(self, obj):
+        with pytest.raises(UsageError, match="cannot serialize"):
+            reference_dumps_report(obj)
+        with pytest.raises(UsageError, match="cannot serialize"):
+            dumps_report(obj)
+
+    def test_config_echo_is_shallow(self):
+        section = {"polygon": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
+        cfg = RunConfig(command="moments", section=section,
+                        epsilons=(1.0, 0.5))
+        echo = cfg.to_dict()
+        assert list(echo) == list(RunConfig.__dataclass_fields__)
+        assert echo["section"] is section
+        assert echo["epsilons"] == (1.0, 0.5)
+
+
+def _outcome(fn, argv):
+    """``(exit code, stdout, stderr)`` of ``fn(argv)``, a ``SystemExit``
+    included; the code of a returning call is what it returned."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = fn(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _full_tree(argv):
+    build_parser().parse_args(argv)
+    return 0
+
+
+def _leaf_failures():
+    """Per command: help (also ahead of an unknown option), an unknown
+    option or a stray positional after a valid call, a positional after
+    ``--``, a missing required option, and a bad value for each option
+    with a ``type=``."""
+    valid = {(argv[0] if argv[0] in COMMANDS else ".".join(argv[:2])): argv
+             for argv in readme_cli_examples()}
+    cases = []
+    for name, cmd in COMMANDS.items():
+        path = name.split(".")
+        cases += [path + ["--help"], path + ["-h", "--bogus"],
+                  valid[name] + ["--bogus"], valid[name] + ["extra"],
+                  path + ["--strict", "--", "x"]]
+        if any(opt.kw.get("required") for opt in cmd.options):
+            cases.append(path + ["--strict"])
+        cases += [path + [opt.flag, "notanumber"] for opt in cmd.options
+                  if opt.kw.get("type") in (int, float)]
+    return cases
+
+
+class TestLeafParser:
+    """``run`` builds only the named command's parser path, yet prints
+    and exits as the full ``build_parser()`` tree does."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h"], ["nope"], ["robin"], ["robin", "--help"],
+        ["robin", "nope"], ["model"], ["sweep", "-h"], ["robin.cone"],
+        ["--strict", "moments", "--section", "square.json"],
+        ["moments", "robin", "cone"],
+    ] + _leaf_failures(), ids=" ".join)
+    def test_help_usage_and_errors_equal_the_full_tree(self, argv):
+        want = _outcome(_full_tree, argv)
+        assert want[0] in (0, 2)
+        assert want[1] or want[2]
+        assert _outcome(run, argv) == want
+
+    def test_a_leaf_call_builds_at_most_three_parsers(self, capsys,
+                                                       square_file,
+                                                       monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        for argv in (["moments", "--section", square_file],
+                     ["robin", "cone", "--section", square_file],
+                     ["model", "sigma", "--theta", "0.3"]):
+            built.clear()
+            assert run(argv) == 0
+            assert len(built) <= 3, built
+        capsys.readouterr()
