@@ -19,13 +19,10 @@ included, follow the subcommand.  Only the sweep commands (``ess``,
 ``sweep bound``, ``sweep sigma``) take ``--csv`` and ``--quantity``, and
 ``--quantity`` only together with ``--csv``.
 
-A call pays only for its own command: :func:`parse_args` builds the
-parser path that ``argv`` names (root, group, leaf), not the whole tree.
-The full tree is built only when ``argv`` names no command (root help,
-a group alone, an unknown name) or the leaf leaves arguments over, so
-every help, usage and error text is the full tree's.  The report is
-written by one pass over the payload, and its ``config`` echoes the
-field values without copying them.
+The parser tree is built once per process and reused by every later
+:func:`run` call, so a call pays for parsing, not for building the
+parser.  The report is written by one pass over the payload, and its
+``config`` echoes the field values without copying them.
 
 ``sweep bound`` uses the dilation identity ``e(B, eps w) = eps e(B, w)``:
 it builds and validates the section once, bounds it once, and scales that
@@ -49,6 +46,7 @@ CONEBOUNDS_STRICT=1 in the environment).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -127,10 +125,15 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+#: Exact scalar types and their writers.
+_SCALARS = {float: _fmt_float, int: str, str: _quote,
+            bool: lambda b: "true" if b else "false",
+            type(None): lambda _: "null"}
+
+
 def _write(obj, pad: str, out: list) -> None:
     """Append the JSON text of the list or dict ``obj`` to ``out``; ``pad``
-    indents its closing bracket.  Scalars are written in the loop, so only
-    nested containers recurse."""
+    indents its closing bracket."""
     if isinstance(obj, dict):
         items = ((_quote(str(k)) + ": ", v) for k, v in obj.items())
         brackets = "{}"
@@ -143,11 +146,7 @@ def _write(obj, pad: str, out: list) -> None:
     for key, v in items:
         out.append(sep)
         out.append(key)
-        fmt = _SCALARS.get(type(v))
-        if fmt is not None:
-            out.append(fmt(v))
-        else:
-            _write_value(v, inner, out)
+        _write_value(v, inner, out)
     if len(out) == start:
         out.append(brackets)
     else:
@@ -156,12 +155,15 @@ def _write(obj, pad: str, out: list) -> None:
 
 
 def _write_value(obj, pad: str, out: list) -> None:
-    """Append the JSON text of any serializable ``obj``: None, bool,
-    integer, float and str (numpy scalars included), then a list, tuple,
-    array or dict."""
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
+    """Append the JSON text of any serializable ``obj``: a scalar of
+    :data:`_SCALARS`, a numpy scalar or a subclass of a scalar type, or a
+    list, tuple, array or dict."""
+    fmt = _SCALARS.get(type(obj))
+    if fmt is not None:
+        out.append(fmt(obj))
+    elif isinstance(obj, (list, tuple, np.ndarray, dict)):
+        _write(obj, pad, out)
+    elif isinstance(obj, np.bool_):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
@@ -169,16 +171,8 @@ def _write_value(obj, pad: str, out: list) -> None:
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, str):
         out.append(_quote(obj))
-    elif isinstance(obj, (list, tuple, np.ndarray, dict)):
-        _write(obj, pad, out)
     else:
         raise UsageError(f"cannot serialize {type(obj).__name__}")
-
-
-#: Exact scalar types and their writers; anything else takes ``_write_value``.
-_SCALARS = {float: _fmt_float, int: str, str: _quote,
-            bool: lambda b: "true" if b else "false",
-            type(None): lambda _: "null"}
 
 
 def dumps_report(obj, indent: int = 0) -> str:
@@ -451,14 +445,12 @@ def _options(cmd: Command) -> tuple[Option, ...]:
 # ---------------------------------------------------------------------------
 # parsing and dispatch, read off the table
 
-def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
-    """The parser tree of the commands ``names`` (dotted, default all)."""
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="conebounds", description=(
         "Eigenvalue upper bounds for sharp magnetic cones"))
     sub = ap.add_subparsers(dest="command", required=True)
     groups = {}
-    for name in names:
-        cmd = COMMANDS[name]
+    for name, cmd in COMMANDS.items():
         group, _, leaf = name.rpartition(".")
         if group and group not in groups:
             groups[group] = sub.add_parser(
@@ -471,26 +463,12 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
     return ap
 
 
-#: Command-line path (``("robin", "cone")``) -> dotted command name.
-_BY_PATH = {tuple(name.split(".")): name for name in COMMANDS}
-
-
-def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parse ``argv`` (default ``sys.argv[1:]``) as the full tree would.
-
-    When ``argv`` starts with a command's name, only that command's path
-    (root, group, leaf) is built.  Help, usage and every error the leaf
-    raises are the same as in the full tree; the root's are not, so a
-    call that leaves arguments over, or names no command, is parsed again
-    by the full tree.
-    """
-    args = sys.argv[1:] if argv is None else list(argv)
-    name = _BY_PATH.get(tuple(args[:2 if args and args[0] in GROUPS else 1]))
-    if name is not None:
-        ns, extra = build_parser((name,)).parse_known_args(args)
-        if not extra:
-            return ns
-    return build_parser().parse_args(args)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The :func:`build_parser` tree, built on the first call.  A parse
+    leaves no state in the parser (no option has a mutable default), so
+    every later call reuses it."""
+    return build_parser()
 
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
@@ -533,7 +511,10 @@ def run_config(cfg: RunConfig) -> tuple[dict, int]:
 
     Returns the report and the exit code.  Accuracy warnings never abort
     the computation; they are collected into the report and only change
-    the exit code under strict mode.
+    the exit code under strict mode.  The report's ``config`` is
+    ``cfg.to_dict()``, which holds ``cfg``'s own field values, not copies:
+    the report and ``cfg`` share the section dict, so a change to it in
+    one shows in the other.
     """
     t0 = time.perf_counter()
     try:
@@ -568,7 +549,7 @@ def _error_report(cfg: RunConfig, kind: str, message: str) -> dict:
 
 def run(argv: list[str] | None = None) -> int:
     try:
-        ns = parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -714,13 +714,14 @@ class TestReportWriter:
         with pytest.raises(UsageError, match="cannot serialize"):
             dumps_report(obj)
 
-    def test_config_echo_is_shallow(self):
+    def test_config_echo_lists_every_field_in_order(self):
         section = {"polygon": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
         cfg = RunConfig(command="moments", section=section,
                         epsilons=(1.0, 0.5))
         echo = cfg.to_dict()
         assert list(echo) == list(RunConfig.__dataclass_fields__)
-        assert echo["section"] is section
+        assert echo == {name: getattr(cfg, name) for name in echo}
+        assert echo["section"] == section
         assert echo["epsilons"] == (1.0, 0.5)
 
 
@@ -761,9 +762,9 @@ def _leaf_failures():
     return cases
 
 
-class TestLeafParser:
-    """``run`` builds only the named command's parser path, yet prints
-    and exits as the full ``build_parser()`` tree does."""
+class TestCachedParser:
+    """``run`` parses with one parser tree built once per process, yet
+    prints and exits as a freshly built ``build_parser()`` tree does."""
 
     @pytest.mark.parametrize("argv", [
         [], ["--help"], ["-h"], ["nope"], ["robin"], ["robin", "--help"],
@@ -777,9 +778,9 @@ class TestLeafParser:
         assert want[1] or want[2]
         assert _outcome(run, argv) == want
 
-    def test_a_leaf_call_builds_at_most_three_parsers(self, capsys,
-                                                       square_file,
-                                                       monkeypatch):
+    def test_a_second_run_call_builds_no_parser(self, capsys, square_file,
+                                                monkeypatch):
+        run(["model", "theta0"])
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -789,10 +790,16 @@ class TestLeafParser:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                             counting_init)
-        for argv in (["moments", "--section", square_file],
-                     ["robin", "cone", "--section", square_file],
-                     ["model", "sigma", "--theta", "0.3"]):
-            built.clear()
-            assert run(argv) == 0
-            assert len(built) <= 3, built
+        field = ["--field", "0,0,1"]
+        assert run(["bound", "--section", square_file, "--n", "5"]
+                   + field) == 0
+        assert run(["bound", "--section", square_file, "--n", "x"]
+                   + field) == 2
+        assert run(["robin", "--help"]) == 0
         capsys.readouterr()
+        assert run(["bound", "--section", square_file] + field) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert built == []
+        # a reused parser keeps no value from an earlier call
+        assert report["config"]["n_max"] == 3
+        assert report["config"]["strict"] is False
