@@ -269,14 +269,16 @@ def _gauge(cfg: RunConfig) -> dict:
 
 
 def _spectrum1d(cfg: RunConfig) -> dict:
+    grid = None
+    if cfg.x_max is not None or cfg.n_points is not None:
+        if cfg.method == "exact":
+            raise UsageError("--xmax and --npoints need --method fd")
+        if cfg.x_max is None or cfg.n_points is None:
+            raise UsageError("--xmax and --npoints go together")
+        grid = GridSpec(x_max=cfg.x_max, n=cfg.n_points)
     if cfg.method == "exact":
         vals = exact_reduced_spectrum(cfg.lam, n_max=cfg.n_max)
     else:
-        grid = None
-        if cfg.x_max is not None or cfg.n_points is not None:
-            if cfg.x_max is None or cfg.n_points is None:
-                raise UsageError("--xmax and --npoints go together")
-            grid = GridSpec(x_max=cfg.x_max, n=cfg.n_points)
         vals = fd_halfline_spectrum(cfg.lam, grid=grid, n_max=cfg.n_max)
     return {"lam": cfg.lam, "method": cfg.method,
             "eigenvalues": [float(v) for v in vals],

@@ -43,8 +43,9 @@ DEGENERACY_RTOL = 1e-12
 _PAIR_BLOCK = 1 << 14
 
 
-def _cross2(u, v) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
+def _cross(u, w):
+    """``u x w`` of plane vectors, broadcast over leading axes."""
+    return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
 
 
 def _shoelace(v: np.ndarray):
@@ -109,12 +110,9 @@ class Polygon:
         self._check_simple()
 
     def _check_spikes(self) -> None:
-        v = self.vertices
-        u = np.roll(v, 1, axis=0) - v      # to the previous vertex
-        w = np.roll(v, -1, axis=0) - v     # to the next vertex
         # zero interior angle means the two edges overlap: a spike
-        spike = ((w[:, 0] * u[:, 1] - w[:, 1] * u[:, 0] == 0.0)
-                 & (w[:, 0] * u[:, 0] + w[:, 1] * u[:, 1] > 0.0))
+        cross, dot = _corner_turns(self.vertices, np.arange(self.n_vertices))
+        spike = (cross == 0.0) & (dot > 0.0)
         if spike.any():
             raise GeometryError(f"zero-angle spike at vertex {np.argmax(spike)}")
 
@@ -249,7 +247,7 @@ def polygon_moments(polygon: Polygon) -> Moments:
 
 def disc_moments(disc: Disc) -> Moments:
     """Moments of a disc: ``m2 = R^2/4 + c1^2``, ``m1 = c1 c2``, ``m0 = R^2/4 + c2^2``."""
-    c1, c2 = disc.center
+    c1, c2 = disc.center.tolist()
     r = disc.radius
     area = math.pi * r * r
     quarter = 0.25 * r * r
@@ -341,7 +339,7 @@ def section_quadrature(section: Section, order: int = 12):
     ww = np.outer(w01, w01)
     for i in range(1, len(v) - 1):
         a, b, c = v[0], v[i], v[i + 1]
-        j0 = _cross2(b - a, c - a)  # signed, twice the triangle area
+        j0 = _cross(b - a, c - a)  # signed, twice the triangle area
         # collapsed map x = a + u*(b-a) + u*v*(c-b), jacobian u*j0
         x = a[0] + uu * (b[0] - a[0]) + uu * vv * (c[0] - b[0])
         y = a[1] + uu * (b[1] - a[1]) + uu * vv * (c[1] - b[1])
@@ -353,19 +351,23 @@ def section_quadrature(section: Section, order: int = 12):
 # ---------------------------------------------------------------------------
 # corner angles, cone faces and cone-edge openings
 
+def _corner_turns(v: np.ndarray, idx: np.ndarray):
+    """``(w x u, w . u)`` at the vertices ``idx`` of ``v``, with ``u`` and
+    ``w`` the edges from each to its previous and its next vertex."""
+    u = v[(idx - 1) % len(v)] - v[idx]
+    w = v[(idx + 1) % len(v)] - v[idx]
+    return _cross(w, u), w[:, 0] * u[:, 0] + w[:, 1] * u[:, 1]
+
+
 def _corner_angles(polygon: Polygon, idx: np.ndarray) -> np.ndarray:
     """Interior corner angles at the vertices ``idx``, in (0, 2*pi).
 
     Raises ``GeometryError`` at the first of them that is numerically 0
     or 2*pi (see :func:`interior_angle`).
     """
-    v = polygon.vertices
-    u = v[(idx - 1) % len(v)] - v[idx]
-    w = v[(idx + 1) % len(v)] - v[idx]
     # interior lies to the left of the oriented boundary, so sweep
     # counterclockwise from the outgoing edge to the reversed incoming one
-    ang = np.arctan2(w[:, 0] * u[:, 1] - w[:, 1] * u[:, 0],
-                     np.sum(w * u, axis=1)) % (2.0 * math.pi)
+    ang = np.arctan2(*_corner_turns(polygon.vertices, idx)) % (2.0 * math.pi)
     bad = np.minimum(ang, 2.0 * math.pi - ang) < 1e-9
     if bad.any():
         raise GeometryError(
@@ -412,11 +414,11 @@ def cone_faces(polygon: Polygon, eps: float) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1)[:, None]
 
 
-def _edge_openings(polygon: Polygon, eps: float, idx: np.ndarray) -> np.ndarray:
-    # the dihedral angle between faces i-1 and i through the inside of the
-    # cone; central projection keeps corner convexity, so an edge is reflex
-    # exactly where its plane corner is
-    faces = cone_faces(polygon, eps)
+def _edge_openings(polygon: Polygon, faces: np.ndarray,
+                   idx: np.ndarray) -> np.ndarray:
+    # the dihedral angle between rows i-1 and i of ``cone_faces`` through
+    # the inside of the cone; central projection keeps corner convexity, so
+    # an edge is reflex exactly where its plane corner is
     alpha = _corner_angles(polygon, idx)
     prev, face = faces[idx - 1], faces[idx]
     between = np.arctan2(np.linalg.norm(np.cross(prev, face), axis=1),
@@ -433,7 +435,8 @@ def cone_edge_openings(polygon: Polygon, eps: float) -> np.ndarray:
     ``pi``.  Raises ``GeometryError`` at the first zero-angle corner (see
     :func:`interior_angle`).
     """
-    return _edge_openings(polygon, eps, np.arange(polygon.n_vertices))
+    return _edge_openings(polygon, cone_faces(polygon, eps),
+                          np.arange(polygon.n_vertices))
 
 
 def spherical_vertex_opening(polygon: Polygon, i: int, eps: float) -> float:
@@ -456,12 +459,22 @@ def spherical_vertex_opening(polygon: Polygon, i: int, eps: float) -> float:
     side taken from the plane corner, which keeps reflex corners of
     nonconvex sections correct.
     """
-    return float(_edge_openings(polygon, eps,
+    return float(_edge_openings(polygon, cone_faces(polygon, eps),
                                 np.array([i % polygon.n_vertices]))[0])
 
 
 # ---------------------------------------------------------------------------
 # JSON interchange
+
+def _is_number(x) -> bool:
+    # a JSON boolean is a Python bool, which is an int
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_point(p) -> bool:
+    return (isinstance(p, (list, tuple)) and len(p) == 2
+            and all(map(_is_number, p)))
+
 
 def section_from_json(obj: dict) -> Section:
     """Build a section from ``{"polygon": [[x, y], ...]}`` or
@@ -471,24 +484,18 @@ def section_from_json(obj: dict) -> Section:
     keys = set(obj.keys())
     if keys == {"polygon"}:
         verts = obj["polygon"]
-        if not isinstance(verts, list):
+        if not (isinstance(verts, list) and all(map(_is_point, verts))):
             raise UsageError("polygon must be a list of [x, y] pairs")
-        for p in verts:
-            if not (isinstance(p, (list, tuple)) and len(p) == 2
-                    and all(isinstance(c, (int, float)) for c in p)):
-                raise UsageError("polygon must be a list of [x, y] pairs")
         return Polygon(verts)
     if keys == {"disc"}:
         d = obj["disc"]
         if not (isinstance(d, dict) and set(d.keys()) == {"center", "radius"}):
             raise UsageError('disc must be {"center": [x, y], "radius": r}')
-        c = d["center"]
-        if not (isinstance(c, (list, tuple)) and len(c) == 2
-                and all(isinstance(x, (int, float)) for x in c)):
+        if not _is_point(d["center"]):
             raise UsageError("disc centre must be [x, y]")
-        if not isinstance(d["radius"], (int, float)):
+        if not _is_number(d["radius"]):
             raise UsageError("disc radius must be a number")
-        return Disc(c, d["radius"])
+        return Disc(d["center"], d["radius"])
     raise UsageError('section JSON must have exactly one of "polygon", "disc"')
 
 

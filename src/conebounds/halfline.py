@@ -17,7 +17,11 @@ The module provides the exact spectrum, a second-order finite difference
 check on a truncated interval, quadrature evaluation of ``p[lam]`` on trial
 functions, and a consistency check that evaluates the full 3D quotient of
 a profile over the solid cone by quadrature and compares it with the 1D
-quotient.
+quotient.  Both quotients sample a profile the same way (its derivative is
+the given one, else one central difference) and compute ``p[lam]`` by one
+formula that owns the one decay warning; they differ only in their nodes:
+Simpson on the grid for the 1D quotient, and for the solid cone 160
+Gauss-Legendre heights times an order-16 section rule.
 """
 
 from __future__ import annotations
@@ -125,120 +129,98 @@ def fd_halfline_spectrum(lam: float, grid: GridSpec | None = None,
     return vals
 
 
-def _derivative_samples(u_vals: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order finite-difference derivative on a uniform grid."""
-    n = len(u_vals)
-    if n < 7:
-        raise UsageError("need at least 7 samples for the derivative stencil")
-    d = np.empty(n)
-    d[2:-2] = (-u_vals[4:] + 8.0 * u_vals[3:-1]
-               - 8.0 * u_vals[1:-3] + u_vals[:-4]) / (12.0 * h)
-    # one-sided fourth-order stencils at the ends
-    c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-    d[0] = np.dot(c, u_vals[:5]) / h
-    d[1] = np.dot(c, u_vals[1:6]) / h
-    d[-1] = -np.dot(c, u_vals[-1:-6:-1]) / h
-    d[-2] = -np.dot(c, u_vals[-2:-7:-1]) / h
-    return d
+def _samples(u, du, x: np.ndarray, x_max: float):
+    """Values of the profile ``u`` at the nodes ``x`` and of its derivative.
+
+    The derivative is ``du`` when given, otherwise the difference quotient
+    of ``u`` over ``[x - h, x + h]``, ``h = 1e-6 x_max / 12``, with the
+    lower end cut at 0 so that ``u`` is only sampled on the half-line.
+    """
+    def at(f, pts):
+        return np.array([float(f(p)) for p in pts])
+
+    if du is not None:
+        return at(u, x), at(du, x)
+    h = 1e-6 * x_max / 12.0
+    lo, hi = np.maximum(x - h, 0.0), x + h
+    return at(u, x), (at(u, hi) - at(u, lo)) / (hi - lo)
+
+
+def _quotient(uv: np.ndarray, dv: np.ndarray, x: np.ndarray, w: np.ndarray,
+              lam: float) -> float:
+    """``p[lam](u) / int |u|^2 x^2`` from samples at the nodes ``x`` and
+    quadrature weights ``w``; warns when ``u`` has not decayed at the last
+    node (``u^2 x^3`` there above ``1e-8`` times the denominator)."""
+    x2 = x * x
+    den = float(w @ (uv * uv * x2))
+    if den < 1e-300:
+        raise DomainError("trial function vanishes in the weighted norm")
+    tail = abs(uv[-1]) * x[-1]
+    if tail * tail * x[-1] > 1e-8 * den:
+        warnings.warn("trial function has not decayed at x_max",
+                      AccuracyWarning, stacklevel=3)
+    return float(w @ ((dv * dv + lam * x2 * uv * uv) * x2)) / den
 
 
 def rayleigh_quotient_1d(u, lam: float, grid: GridSpec | None = None,
                          du=None) -> float:
     """Quotient ``p[lam](u) / int |u|^2 x^2 dx`` for a trial profile.
 
-    ``u`` is a callable on ``[0, x_max]``; its derivative is taken
-    analytically when ``du`` is given, otherwise by a fourth-order stencil
-    on the sampling grid.  Integrals use composite Simpson.  The quotient
-    of any admissible nonzero trial is at least the ground value
-    ``3 sqrt(lam)``.
+    ``u`` is a callable on ``[0, x_max]``; its derivative is ``du`` when
+    given, otherwise a central difference of step ``1e-6 x_max / 12``.
+    Integrals use composite Simpson on the grid's nodes.  Warns when ``u``
+    has not decayed at ``x_max`` (``u^2 x^3`` there above ``1e-8`` times
+    the denominator).  The quotient of any admissible nonzero trial is at
+    least the ground value ``3 sqrt(lam)``.
     """
     if not (lam >= 0.0) or not math.isfinite(lam):
         raise DomainError("lam must be nonnegative")
     g = grid if grid is not None else default_grid(lam if lam > 0.0 else 1.0)
-    n = int(g.n)
-    if n % 2 == 1:
-        n += 1  # Simpson needs an even interval count
+    n = int(g.n) + int(g.n) % 2  # Simpson needs an even interval count
     x = np.linspace(0.0, g.x_max, n + 1)
-    h = x[1] - x[0]
-    uv = np.asarray([float(u(xx)) for xx in x])
-    w = x * x
-    den_ig = uv * uv * w
-    den = _simpson(den_ig, h)
-    if den <= 0.0 or den < 1e-300:
-        raise DomainError("trial function vanishes in the weighted norm")
-    tail = abs(uv[-1]) * g.x_max
-    if tail * tail * g.x_max > 1e-8 * den:
-        warnings.warn("trial function has not decayed at x_max",
-                      AccuracyWarning, stacklevel=2)
-    dv = (np.asarray([float(du(xx)) for xx in x]) if du is not None
-          else _derivative_samples(uv, h))
-    num = _simpson((dv * dv + lam * w * uv * uv) * w, h)
-    return num / den
-
-
-def _simpson(vals: np.ndarray, h: float) -> float:
-    s = vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2]) + 2.0 * np.sum(vals[2:-1:2])
-    return float(s * h / 3.0)
+    w = np.where(np.arange(n + 1) % 2, 4.0, 2.0)
+    w[0] = w[-1] = 1.0
+    return _quotient(*_samples(u, du, x, g.x_max), x, w * (x[1] / 3.0), lam)
 
 
 def cone_quotient_consistency(phi, gauge, section: Section,
-                              truncation: float | None = None, dphi=None,
-                              section_order: int = 16,
-                              axial_points: int = 160) -> tuple[float, float]:
+                              truncation: float | None = None,
+                              dphi=None) -> tuple[float, float]:
     """Same profile, two quotients: solid-cone quadrature vs the 1D form.
 
     The left value integrates ``|A(x)|^2 phi(x3)^2 + phi'(x3)^2`` over the
     truncated solid cone by quadrature, evaluating the gauge at physical
-    points of the cone (section nodes scaled by height, Gauss-Legendre in
-    the height with the ``x3^2`` Jacobian of the radial-graph coordinates).
-    The right value is the 1D quotient with ``lam = ||A||^2 / |w|``.  For
-    profiles that have decayed at the truncation height the two agree to
-    quadrature accuracy; a sizable gap indicates a broken reduction, which
-    is exactly what this check is for.
+    points of the cone (order-16 section nodes scaled by height, 160
+    Gauss-Legendre heights with the ``x3^2`` Jacobian of the radial-graph
+    coordinates).  The right value is the 1D quotient with
+    ``lam = ||A||^2 / |w|`` on the same heights.  ``phi'`` and the decay
+    warning are those of :func:`rayleigh_quotient_1d`, with the truncation
+    height as ``x_max``.  For profiles that have decayed at the truncation
+    height the two agree to quadrature accuracy; a sizable gap indicates a
+    broken reduction, which is exactly what this check is for.  The gauge
+    is held at all ``160 x nodes`` points at once: about 2 MB for a disc or
+    a square, but a polygon has 256 nodes per fan triangle (about 60 MB
+    per array for 64 vertices).
 
     Returns ``(three_d, one_d)``.
     """
     arr = _as_gauge_matrix(gauge)
-    m = moments(section)
-    sq = arr[0, 0] ** 2 + arr[1, 0] ** 2 + arr[2, 0] ** 2 \
-        + arr[0, 1] ** 2 + arr[1, 1] ** 2 + arr[2, 1] ** 2
-    lam = 0.0 if sq == 0.0 else lambda_from_gauge(arr, m)
+    lam = lambda_from_gauge(arr, section) if np.any(arr * arr) else 0.0
     t_max = truncation if truncation is not None else \
         12.0 * (lam ** -0.25 if lam > 0.0 else 1.0)
     if not (t_max > 0.0):
         raise DomainError("truncation height must be positive")
 
-    pts, wts = section_quadrature(section, order=section_order)
-    tg, tw = np.polynomial.legendre.leggauss(int(axial_points))
+    pts, wts = section_quadrature(section, order=16)
+    tg, tw = np.polynomial.legendre.leggauss(160)
     t = 0.5 * t_max * (tg + 1.0)
     wt = 0.5 * t_max * tw
+    phi_v, dphi_v = _samples(phi, dphi, t, t_max)
+    one_d = _quotient(phi_v, dphi_v, t, wt, lam)
 
-    if dphi is None:
-        hh = 1e-6 * t_max / 12.0
-        dphi_v = np.array([(phi(tt + hh) - phi(tt - hh)) / (2.0 * hh) for tt in t])
-    else:
-        dphi_v = np.array([float(dphi(tt)) for tt in t])
-    phi_v = np.array([float(phi(tt)) for tt in t])
-    if abs(phi_v[-1]) * t_max > 1e-6 * math.sqrt(max(np.sum(phi_v ** 2), 1e-300)):
-        warnings.warn("profile has not decayed at the truncation height",
-                      AccuracyWarning, stacklevel=2)
-
-    num3 = 0.0
-    den3 = 0.0
-    for tt, ww, pv, dv in zip(t, wt, phi_v, dphi_v):
-        # physical plane coordinates on the slice at height tt
-        xs = tt * pts
-        asq = (arr[0, 0] * xs[:, 0] + arr[0, 1] * xs[:, 1]) ** 2 \
-            + (arr[1, 0] * xs[:, 0] + arr[1, 1] * xs[:, 1]) ** 2 \
-            + (arr[2, 0] * xs[:, 0] + arr[2, 1] * xs[:, 1]) ** 2
-        jac = ww * tt * tt
-        num3 += jac * float(np.sum(wts * (asq * pv * pv + dv * dv)))
-        den3 += jac * float(np.sum(wts)) * pv * pv
-    if den3 <= 0.0:
-        raise DomainError("profile vanishes on the truncated cone")
-    three_d = num3 / den3
-
-    w2 = t * t
-    num1 = float(np.sum(wt * (dphi_v ** 2 + lam * w2 * phi_v ** 2) * w2))
-    den1 = float(np.sum(wt * phi_v ** 2 * w2))
-    return three_d, num1 / den1
+    # the gauge at the physical points t * (x1, x2) of every slice
+    a = t[:, None, None] * pts @ arr.T
+    jac = wt * t * t
+    area = float(np.sum(wts))
+    num3 = jac @ (np.sum(a * a, axis=2) @ wts * phi_v ** 2 + area * dphi_v ** 2)
+    return float(num3) / (area * float(jac @ phi_v ** 2)), one_d

@@ -20,8 +20,9 @@ faces, wedges along the edges.  The corresponding scalar model energies
 Combining the three classes gives two-sided estimates for the essential
 energy of sharpening cones and of the reference cylinder over a section,
 which is the cone at ``eps = 0``: both read the face and edge channels off
-:func:`~conebounds.geometry.cone_faces` and
-:func:`~conebounds.geometry.cone_edge_openings`.  An explicit threshold
+one :func:`~conebounds.geometry.cone_faces` array per call, the edge
+openings being the angles between its consecutive rows (as in
+:func:`~conebounds.geometry.cone_edge_openings`).  An explicit threshold
 says when the apex bound drops below every non-apex channel, certifying
 corner concentration.
 
@@ -41,8 +42,7 @@ import numpy as np
 
 from .errors import DomainError, SolverError, UsageError
 from .gauge import MagneticField, e_constant
-from .geometry import (Polygon, Section, cone_edge_openings, cone_faces,
-                       moments)
+from .geometry import Polygon, Section, _edge_openings, cone_faces, moments
 
 #: Provenance kinds carried by estimates.
 UPPER_BOUND = "UpperBound"
@@ -383,12 +383,13 @@ def _tangent_estimate(b: MagneticField, section: Polygon, eps: float,
     if b.norm == 0.0:
         return EnergyEstimate(kind=TWO_SIDED, lower=0.0, upper=0.0,
                               source="zero field")
-    thetas = np.arcsin(np.minimum(
-        1.0, np.abs(cone_faces(section, eps) @ b.as_array()) / b.norm))
+    faces = cone_faces(section, eps)
+    thetas = np.arcsin(np.minimum(1.0, np.abs(faces @ b.as_array()) / b.norm))
     return _assemble_two_sided(
         b.norm, [halfspace_sigma(th) for th in thetas.tolist()],
-        cone_edge_openings(section, eps).tolist(), c_floor,
-        source + _SIGMA_SOURCE)
+        _edge_openings(section, faces,
+                       np.arange(section.n_vertices)).tolist(),
+        c_floor, source + _SIGMA_SOURCE)
 
 
 def cylinder_energy(field, section: Section, c_floor: float) -> EnergyEstimate:
@@ -512,10 +513,10 @@ def truncated_domain_edges(section: Section, eps: float) -> TruncatedEdgeReport:
     e = float(eps)
     if not (e > 0.0) or not math.isfinite(e):
         raise DomainError("eps must be positive")
-    lateral = cone_edge_openings(section, e)
+    faces = cone_faces(section, e)
+    lateral = _edge_openings(section, faces, np.arange(section.n_vertices))
     # the cut plane's outward normal is +z, so the rim opening is
     # pi - arccos(n_z), taken by atan2 to keep it accurate near 0 and pi
-    faces = cone_faces(section, e)
     top = np.arctan2(np.hypot(faces[:, 0], faces[:, 1]), -faces[:, 2])
     both = np.concatenate([lateral, top])
     return TruncatedEdgeReport(

@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AccuracyError, DomainError, UsageError
-from .geometry import Disc, Polygon, Section, centroid
+from .geometry import Disc, Polygon, Section, _cross, centroid
 
 #: Valid kinds for :func:`robin_model_energy`.
 ROBIN_MODEL_KINDS = ("halfSpace", "wedge")
@@ -68,10 +68,6 @@ def robin_model_energy(kind: str, alpha: float | None = None) -> float:
     if a >= math.pi:
         return -1.0
     return -1.0 / math.sin(0.5 * a) ** 2
-
-
-def _cross(u, w):
-    return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
 
 
 def _edge_support(vertices: np.ndarray, points: np.ndarray):

@@ -352,6 +352,15 @@ class TestExitCodes:
         assert code == 2
         assert report["error"]["kind"] == "parse"
 
+    @pytest.mark.parametrize("grid", [["--xmax", "3", "--npoints", "100"],
+                                      ["--xmax", "3"], ["--npoints", "100"]])
+    def test_grid_flags_need_fd(self, capsys, grid):
+        # the exact spectrum uses no grid, so the flags would be ignored
+        code, report = run_cli(capsys, ["spectrum1d", "--lam", "1", *grid])
+        assert code == 2
+        assert report["error"] == {"kind": "parse", "message":
+                                   "--xmax and --npoints need --method fd"}
+
     def test_coarse_fd_warns_without_strict(self, capsys):
         args = ["spectrum1d", "--lam", "1", "--method", "fd",
                 "--xmax", "1.5", "--npoints", "100"]

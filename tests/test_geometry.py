@@ -221,6 +221,15 @@ class TestDiscMoments:
         assert m.M2 == pytest.approx(q2, rel=1e-12)
 
 
+@pytest.mark.parametrize("section", [
+    Disc((0.7, -0.4), 1.3),
+    Polygon([(0.3, 0.2), (2.1, 0.5), (1.7, 1.9), (0.9, 1.1), (0.2, 1.4)]),
+], ids=["disc", "polygon"])
+def test_moments_are_python_floats(section):
+    m = moments(section)
+    assert [type(v) for v in (m.area, m.M0, m.M1, m.M2)] == [float] * 4
+
+
 class TestMomentInvariants:
     def test_positivity_and_gram_sign(self):
         rng = np.random.default_rng(11)
@@ -532,3 +541,14 @@ class TestSectionJson:
         # well-formed document, mathematically inadmissible content
         with pytest.raises(GeometryError):
             section_from_json({"polygon": [[0, 0], [1, 0], [2, 0]]})
+
+    # a JSON true is a Python bool, which is an int: without its own check
+    # the first document would be built as the unit triangle
+    @pytest.mark.parametrize("doc", [
+        {"polygon": [[True, 0], [0, True], [0, 0]]},
+        {"disc": {"center": [True, 0.0], "radius": 1.0}},
+        {"disc": {"center": [0.0, 0.0], "radius": True}},
+    ], ids=["vertex", "centre", "radius"])
+    def test_booleans_are_not_numbers(self, doc):
+        with pytest.raises(UsageError):
+            section_from_json(doc)

@@ -1,6 +1,7 @@
 """Reduced half-line problem: exact spectrum, FD check, quotients."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,21 @@ class TestRayleighQuotient1d:
 
             assert rayleigh_quotient_1d(u, lam) >= floor
 
+    @pytest.mark.parametrize("a, b, c, s", [
+        (1.0, 0.0, 0.0, 0.5), (1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.7),
+        (0.3, -0.9, 0.5, 1.2), (-0.2, 0.4, 0.7, 1.6)])
+    def test_difference_derivative_matches_analytic(self, a, b, c, s):
+        # (a + b x + c x^2) exp(-s x^2 / 2); the first three are Gaussians
+        def u(x):
+            return (a + b * x + c * x * x) * math.exp(-s * x * x / 2.0)
+
+        def du(x):
+            return (b + 2.0 * c * x - s * x * (a + b * x + c * x * x)) \
+                * math.exp(-s * x * x / 2.0)
+
+        exact = rayleigh_quotient_1d(u, 1.0, du=du)
+        assert rayleigh_quotient_1d(u, 1.0) == pytest.approx(exact, rel=1e-9)
+
     def test_zero_function_rejected(self):
         with pytest.raises(DomainError):
             rayleigh_quotient_1d(lambda x: 0.0, 1.0)
@@ -239,6 +255,20 @@ class TestConeQuotientConsistency:
         assert three_d == pytest.approx(one_d, rel=1e-4)
         # pure kinetic quotient of the Gaussian under the x^2 weight
         assert one_d == pytest.approx(1.5, rel=1e-6)
+
+    def test_decay_warning_is_the_one_dimensional_rule(self, unit_disc):
+        # exp(-x) at height 12 keeps u^2 x^3 / int u^2 x^2 ~ 2.6e-7 of its
+        # mass past the 1e-8 that rayleigh_quotient_1d allows
+        gauge = optimal_full_gauge(unit_disc)
+        with pytest.warns(AccuracyWarning):
+            cone_quotient_consistency(lambda x: math.exp(-x), gauge,
+                                      unit_disc, truncation=12.0,
+                                      dphi=lambda x: -math.exp(-x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            cone_quotient_consistency(
+                lambda x: math.exp(-x * x / 2.0), gauge, unit_disc,
+                truncation=12.0, dphi=lambda x: -x * math.exp(-x * x / 2.0))
 
     def test_bad_truncation(self, unit_disc):
         with pytest.raises(DomainError):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conebounds import geometry, models
 from conebounds import (Disc, DomainError, EnergyEstimate, Polygon,
                         UsageError, concentration_threshold, cylinder_energy,
                         degennes_mu, e_constant, essential_spectrum_limit,
@@ -514,3 +515,23 @@ class TestTruncatedEdges:
             truncated_domain_edges(unit_disc, 0.1)
         with pytest.raises(DomainError):
             truncated_domain_edges(centered_square, 0.0)
+
+
+def test_cone_faces_built_once_per_edges_call_and_ess_rung(
+        monkeypatch, centered_square):
+    # every face and edge channel of one cone is read off one cone_faces
+    # array; count the calls through both names it is reached by
+    calls, cone_faces = [], geometry.cone_faces
+
+    def counted(*args):
+        calls.append(args)
+        return cone_faces(*args)
+
+    for module in (geometry, models):
+        monkeypatch.setattr(module, "cone_faces", counted)
+    truncated_domain_edges(centered_square, 0.3)
+    assert len(calls) == 1
+    calls.clear()
+    essential_spectrum_limit((0.3, -0.4, 1.0), centered_square,
+                             [0.4, 0.2, 0.1], c_floor=0.5)
+    assert len(calls) == 3
