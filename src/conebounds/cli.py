@@ -72,7 +72,7 @@ from .robin import (BoundaryProfile, robin_cone_upper_bound,
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; round-trips through ``to_dict``/``from_dict``."""
+    """Everything a run needs; ``to_dict`` gives the echo in its report."""
 
     command: str
     section: dict | None = None
@@ -97,17 +97,6 @@ class RunConfig:
         # shallow: the report echoes the field values, it does not copy them
         return {name: getattr(self, name)
                 for name in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise UsageError(f"unknown config fields: {sorted(unknown)}")
-        if "command" not in d:
-            raise UsageError("config needs a command")
-        return cls(**{k: (tuple(v) if isinstance(v, list) else v)
-                      for k, v in d.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -91,9 +91,7 @@ class TransverseGauge:
 
     def norm_sq_over(self, m: Moments) -> float:
         """Exact ``int_w |A'(x)|^2 dx`` from the section moments."""
-        return ((self.a ** 2 + self.c ** 2) * m.M2
-                + 2.0 * (self.a * self.b + self.c * self.d) * m.M1
-                + (self.b ** 2 + self.d ** 2) * m.M0)
+        return m.linear_norm_sq(((self.a, self.b), (self.c, self.d)))
 
 
 def _require_moments(m) -> Moments:

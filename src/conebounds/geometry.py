@@ -220,6 +220,12 @@ class Moments:
     def m2(self) -> float:
         return self.M2 / self.area
 
+    def linear_norm_sq(self, rows) -> float:
+        """Exact ``int_w |L x|^2 dx`` for the linear map ``L`` with the
+        given rows ``(l1, l2)``, ``x -> (l1 x1 + l2 x2, ...)``."""
+        return sum(p * p * self.M2 + 2.0 * p * q * self.M1 + q * q * self.M0
+                   for p, q in rows)
+
     def as_dict(self) -> dict:
         return {"area": self.area, "M0": self.M0, "M1": self.M1,
                 "M2": self.M2, "m0": self.m0, "m1": self.m1, "m2": self.m2}

@@ -77,11 +77,7 @@ def lambda_from_gauge(gauge, section: Section | Moments) -> float:
     """
     arr = _as_gauge_matrix(gauge)
     m = section if isinstance(section, Moments) else moments(section)
-    total = 0.0
-    for r in range(3):
-        total += (arr[r, 0] ** 2 * m.M2 + 2.0 * arr[r, 0] * arr[r, 1] * m.M1
-                  + arr[r, 1] ** 2 * m.M0)
-    lam = total / m.area
+    lam = m.linear_norm_sq(arr) / m.area
     if lam <= 0.0:
         raise DomainError("zero gauge: lam must be positive")
     return lam
@@ -198,9 +194,9 @@ def cone_quotient_consistency(phi, gauge, section: Section,
     height as ``x_max``.  For profiles that have decayed at the truncation
     height the two agree to quadrature accuracy; a sizable gap indicates a
     broken reduction, which is exactly what this check is for.  The gauge
-    is held at all ``160 x nodes`` points at once: about 2 MB for a disc or
-    a square, but a polygon has 256 nodes per fan triangle (about 60 MB
-    per array for 64 vertices).
+    is evaluated over blocks of heights, at most about ``2^16`` points
+    (1.5 MB per array) at a time, so memory does not grow with the section's
+    node count (256 per fan triangle of a polygon).
 
     Returns ``(three_d, one_d)``.
     """
@@ -218,9 +214,14 @@ def cone_quotient_consistency(phi, gauge, section: Section,
     phi_v, dphi_v = _samples(phi, dphi, t, t_max)
     one_d = _quotient(phi_v, dphi_v, t, wt, lam)
 
-    # the gauge at the physical points t * (x1, x2) of every slice
-    a = t[:, None, None] * pts @ arr.T
+    # the gauge at the physical points t * (x1, x2) of every slice, a block
+    # of heights at a time so that about 2^16 points are held at once
+    step = max(1, 65536 // wts.size)
+    gauge_sq = np.empty_like(t)
+    for k in range(0, t.size, step):
+        a = t[k:k + step, None, None] * pts @ arr.T
+        gauge_sq[k:k + step] = np.sum(a * a, axis=2) @ wts
     jac = wt * t * t
     area = float(np.sum(wts))
-    num3 = jac @ (np.sum(a * a, axis=2) @ wts * phi_v ** 2 + area * dphi_v ** 2)
+    num3 = jac @ (gauge_sq * phi_v ** 2 + area * dphi_v ** 2)
     return float(num3) / (area * float(jac @ phi_v ** 2)), one_d

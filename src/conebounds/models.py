@@ -14,17 +14,20 @@ faces, wedges along the edges.  The corresponding scalar model energies
   ``Theta_0 ~ 0.59`` and ``sigma(pi/2) = 1``, nondecreasing in between,
 * wedge of opening ``alpha``: no closed form; a trusted caller-supplied
   floor ``c_floor`` is used from below and the small-opening upper bound
-  ``|B| alpha / sqrt(3)`` from above (valid for fields in the bisector
-  plane or tangent to a face).
+  ``|B| alpha / sqrt(3)`` (:func:`wedge_energy_upper`, the ``wedge`` kind
+  of :func:`~conebounds.gauge.reference_asymptotics`) from above, valid
+  for fields in the bisector plane or tangent to a face.
 
-Combining the three classes gives two-sided estimates for the essential
-energy of sharpening cones and of the reference cylinder over a section,
-which is the cone at ``eps = 0``: both read the face and edge channels off
-one :func:`~conebounds.geometry.cone_faces` array per call, the edge
-openings being the angles between its consecutive rows (as in
-:func:`~conebounds.geometry.cone_edge_openings`).  An explicit threshold
-says when the apex bound drops below every non-apex channel, certifying
-corner concentration.
+Combining the three classes gives two-sided estimates
+(:class:`EnergyEstimate`: ``source``, ``lower``, ``upper``) for the
+essential energy of sharpening cones and of the reference cylinder over a
+section, which is the cone at ``eps = 0``.  Both are one function,
+``_tangent_estimate``: it reads the face and edge channels off one
+:func:`~conebounds.geometry.cone_faces` array per call, the edge openings
+being the angles between its consecutive rows (as in
+:func:`~conebounds.geometry.cone_edge_openings`), and takes the least
+channel at each end.  An explicit threshold says when the apex bound drops
+below every non-apex channel, certifying corner concentration.
 
 Every half-space energy here (the de Gennes band ``mu(xi)``, ``Theta_0``
 and ``sigma(theta)``) is a Rayleigh-Ritz value on a spectral basis, so an
@@ -41,13 +44,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, SolverError, UsageError
-from .gauge import MagneticField, e_constant
+from .gauge import MagneticField, e_constant, reference_asymptotics
 from .geometry import Polygon, Section, _edge_openings, cone_faces, moments
-
-#: Provenance kinds carried by estimates.
-UPPER_BOUND = "UpperBound"
-LOWER_BOUND = "LowerBound"
-TWO_SIDED = "TwoSided"
 
 
 @dataclass(frozen=True)
@@ -58,42 +56,24 @@ class DeGennesResult:
 
 @dataclass(frozen=True)
 class EnergyEstimate:
-    """Energy value(s) with provenance.
+    """Two-sided energy estimate ``lower <= upper`` with its provenance.
 
-    ``kind`` is one of ``UpperBound``, ``LowerBound``, ``TwoSided``; the
-    corresponding fields among ``lower``/``upper`` are set, and for
-    ``TwoSided`` the invariant ``lower <= upper`` holds.
+    ``kind`` is always ``TwoSided``; it is kept in the JSON form, which
+    reports carry.
     """
 
-    kind: str
     source: str
-    lower: float | None = None
-    upper: float | None = None
+    lower: float
+    upper: float
+    kind = "TwoSided"
 
     def __post_init__(self) -> None:
-        if self.kind not in (UPPER_BOUND, LOWER_BOUND, TWO_SIDED):
-            raise UsageError(f"unknown estimate kind {self.kind!r}")
-        if self.kind == UPPER_BOUND and self.upper is None:
-            raise UsageError("upper bound estimate needs an upper value")
-        if self.kind == LOWER_BOUND and self.lower is None:
-            raise UsageError("lower bound estimate needs a lower value")
-        if self.kind == TWO_SIDED:
-            if self.lower is None or self.upper is None:
-                raise UsageError("two-sided estimate needs both values")
-            if self.lower > self.upper:
-                raise DomainError("two-sided estimate with lower > upper")
-
-    @property
-    def value(self) -> float:
-        return self.upper if self.upper is not None else self.lower
+        if self.lower > self.upper:
+            raise DomainError("two-sided estimate with lower > upper")
 
     def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "source": self.source}
-        if self.lower is not None:
-            out["lower"] = self.lower
-        if self.upper is not None:
-            out["upper"] = self.upper
-        return out
+        return {"kind": self.kind, "source": self.source,
+                "lower": self.lower, "upper": self.upper}
 
 
 # ---------------------------------------------------------------------------
@@ -318,37 +298,17 @@ def _legendre_grams(n: int) -> tuple:
 # ---------------------------------------------------------------------------
 # wedges, cylinders, sharpening cones
 
-def wedge_energy_upper(alpha: float, field_norm: float = 1.0) -> EnergyEstimate:
+def wedge_energy_upper(alpha: float, field_norm: float = 1.0) -> float:
     """Leading-order upper bound ``|B| alpha / sqrt(3)`` for a wedge.
 
     Valid for fields lying in the bisector plane or tangent to a face of
-    the wedge; cubic corrections in the opening are dropped.
+    the wedge; cubic corrections in the opening are dropped.  The value is
+    :func:`~conebounds.gauge.reference_asymptotics` of kind ``wedge``.
     """
     a = float(alpha)
     if not (0.0 < a < 2.0 * math.pi):
         raise DomainError("wedge opening must lie in (0, 2*pi)")
-    bn = float(field_norm)
-    if bn < 0.0 or not math.isfinite(bn):
-        raise DomainError("field norm must be nonnegative")
-    return EnergyEstimate(
-        kind=UPPER_BOUND, upper=bn * a / math.sqrt(3.0),
-        source="wedge leading order, orientation-restricted")
-
-
-def _assemble_two_sided(field_norm: float, sigmas: list[float],
-                        openings: list[float], c_floor: float,
-                        source: str) -> EnergyEstimate:
-    """Combine interior, side and wedge channels into a two-sided estimate."""
-    wedge_uppers = [wedge_energy_upper(a).upper for a in openings]
-    upper_unit = min([1.0] + sigmas + wedge_uppers)
-    lower_unit = min([1.0] + sigmas + ([c_floor] if openings else []))
-    if lower_unit > upper_unit:
-        raise DomainError(
-            "c_floor exceeds a wedge upper bound; the supplied floor cannot "
-            "be valid for these edge openings")
-    return EnergyEstimate(kind=TWO_SIDED, source=source,
-                          lower=field_norm * lower_unit,
-                          upper=field_norm * upper_unit)
+    return reference_asymptotics("wedge", a, field_norm=field_norm)
 
 
 #: How the face and wedge channels of the two-sided estimates are obtained.
@@ -379,17 +339,24 @@ def _tangent_estimate(b: MagneticField, section: Polygon, eps: float,
     """Two-sided estimate from the tangent models of the cone over
     ``eps * section``, the reference cylinder at ``eps = 0``: one half-space
     per row of :func:`cone_faces`, at the angle ``arcsin(|N . B| / |B|)`` to
-    the field, and one wedge per cone edge."""
+    the field, and one wedge per cone edge.  Per unit field, the upper end
+    is the least of 1, the ``sigma`` values and the wedge upper bounds, the
+    lower end the least of 1, the ``sigma`` values and ``c_floor``."""
     if b.norm == 0.0:
-        return EnergyEstimate(kind=TWO_SIDED, lower=0.0, upper=0.0,
-                              source="zero field")
+        return EnergyEstimate(source="zero field", lower=0.0, upper=0.0)
     faces = cone_faces(section, eps)
     thetas = np.arcsin(np.minimum(1.0, np.abs(faces @ b.as_array()) / b.norm))
-    return _assemble_two_sided(
-        b.norm, [halfspace_sigma(th) for th in thetas.tolist()],
-        _edge_openings(section, faces,
-                       np.arange(section.n_vertices)).tolist(),
-        c_floor, source + _SIGMA_SOURCE)
+    sigmas = [halfspace_sigma(th) for th in thetas.tolist()]
+    openings = _edge_openings(section, faces, np.arange(section.n_vertices))
+    upper = min([1.0] + sigmas
+                + [wedge_energy_upper(a) for a in openings.tolist()])
+    lower = min([1.0] + sigmas + [c_floor])
+    if lower > upper:
+        raise DomainError(
+            "c_floor exceeds a wedge upper bound; the supplied floor cannot "
+            "be valid for these edge openings")
+    return EnergyEstimate(source=source + _SIGMA_SOURCE,
+                          lower=b.norm * lower, upper=b.norm * upper)
 
 
 def cylinder_energy(field, section: Section, c_floor: float) -> EnergyEstimate:

@@ -121,7 +121,7 @@ class BoundaryProfile:
         off = disc.center - _axis(axis, disc.center)
         c = math.hypot(off[0], off[1])
         r = disc.radius
-        if c >= r * (1.0 - 1e-12):
+        if not (c < r * (1.0 - 1e-12)):  # a NaN axis fails here too
             raise DomainError("axis must lie strictly inside the disc")
         return cls(np.array([[r, c]]), disc=True)
 

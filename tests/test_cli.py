@@ -346,6 +346,20 @@ class TestExitCodes:
         assert code == 3
         assert report["error"]["kind"] == "domain"
 
+    @pytest.mark.parametrize("axis", ["nan,0", "0,nan"])
+    @pytest.mark.parametrize("command", [["robin", "cone"],
+                                         ["robin", "scaling",
+                                          "--eps", "1,0.5,0.1"]])
+    def test_nan_axis_on_a_disc_is_domain_error(self, capsys, disc_file,
+                                                axis, command):
+        # rejected up front, not after 2^20 rim trapezoid nodes
+        code, report = run_cli(capsys, [*command, "--section", disc_file,
+                                        "--axis=" + axis])
+        assert code == 3
+        assert report["error"] == {
+            "kind": "domain",
+            "message": "axis must lie strictly inside the disc"}
+
     def test_fd_flags_must_pair(self, capsys):
         code, report = run_cli(capsys, ["spectrum1d", "--lam", "1",
                                         "--method", "fd", "--xmax", "6"])
@@ -432,21 +446,6 @@ class TestOptionPlacement:
 
 
 class TestConfigAndSerialization:
-    def test_config_round_trip(self):
-        cfg = RunConfig(command="bound", section=DISC_DOC,
-                        field_components=(0.0, 0.0, 1.0), n_max=2,
-                        epsilons=(1.0, 0.5), strict=True)
-        wire = json.loads(json.dumps(cfg.to_dict()))
-        assert RunConfig.from_dict(wire) == cfg
-
-    def test_config_rejects_unknown_fields(self):
-        with pytest.raises(UsageError):
-            RunConfig.from_dict({"command": "bound", "volume": 11})
-
-    def test_config_needs_command(self):
-        with pytest.raises(UsageError):
-            RunConfig.from_dict({"n_max": 2})
-
     def test_config_missing_a_required_field(self):
         report, code = run_config(RunConfig(command="edges",
                                             section=SQUARE_DOC))

@@ -4,8 +4,10 @@ Each case runs one README example through ``cli.run`` in a directory that
 holds the README's ``disc.json`` (unit disc about the origin) and
 ``square.json`` (``[-1, 1]^2``), and compares its stdout, with the
 ``timing`` entry cut out, to ``tests/golden/<name>.json``.  ``sweep bound``
-also compares the CSV it writes.  A change that is meant to keep every
-report identical is checked by this file alone.
+also compares the CSV it writes.  The ``error_*`` cases pin error reports
+the same way, with their exit codes; an error report has no ``timing``
+entry.  A change that is meant to keep every report identical is checked
+by this file alone.
 
 Left out are the commands whose numbers come from LAPACK eigensolvers
 (``ess``, ``model theta0``, ``model sigma``, ``sweep sigma``,
@@ -49,7 +51,17 @@ CASES = {
     "robin_scaling": "robin scaling --section disc.json --eps 1,0.5,0.25,0.1",
     "sweep_bound": ("sweep bound --section disc.json --field 0,0,1 "
                     "--eps 1,0.5,0.1 --csv out.csv"),
+    "error_sweep_bound_eps": ("sweep bound --section disc.json --field 0,0,1 "
+                              "--eps 0"),
+    "error_edges_eps": "edges --section square.json --eps -1",
+    "error_concentrate_cfloor": ("concentrate --section disc.json "
+                                 "--field 0,0,1 --cfloor 2 --eps 0.2"),
+    "error_robin_cone_nan_axis": "robin cone --section disc.json --axis=nan,0",
 }
+
+#: Exit codes of the error cases; every other case exits 0.
+EXIT_CODES = {"error_sweep_bound_eps": 3, "error_edges_eps": 3,
+              "error_concentrate_cfloor": 2, "error_robin_cone_nan_axis": 3}
 
 #: The last entry of every report: its wall time, which varies by run.
 _TIMING = re.compile(r',\n  "timing": \{\n    "wallTimeS": [^\n]*\n  \}(?=\n\}\n$)')
@@ -69,7 +81,7 @@ def run_case(args: str, workdir: Path) -> tuple[int, str, str | None]:
     finally:
         os.chdir(cwd)
     text, n = _TIMING.subn("", out.getvalue())
-    assert n == 1, "report has no trailing timing entry"
+    assert n == (code == 0), "only a success report ends in a timing entry"
     csv = workdir / "out.csv"
     return code, text, csv.read_text() if csv.exists() else None
 
@@ -77,7 +89,7 @@ def run_case(args: str, workdir: Path) -> tuple[int, str, str | None]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, tmp_path):
     code, text, csv = run_case(CASES[name], tmp_path)
-    assert code == 0
+    assert code == EXIT_CODES.get(name, 0)
     assert text == (GOLDEN / f"{name}.json").read_text()
     csv_golden = GOLDEN / f"{name}.csv"
     if csv_golden.exists():
@@ -91,7 +103,7 @@ def regenerate() -> None:
     for name, args in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
             code, text, csv = run_case(args, Path(tmp))
-        if code != 0:
+        if code != EXIT_CODES.get(name, 0):
             sys.exit(f"{name}: exit code {code}")
         (GOLDEN / f"{name}.json").write_text(text)
         if csv is not None:

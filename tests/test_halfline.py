@@ -1,14 +1,15 @@
 """Reduced half-line problem: exact spectrum, FD check, quotients."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from conebounds import (AccuracyWarning, Disc, DomainError, GridSpec,
-                        UsageError, cone_quotient_consistency, default_grid,
-                        e_constant, exact_reduced_spectrum,
+                        Polygon, UsageError, cone_quotient_consistency,
+                        default_grid, e_constant, exact_reduced_spectrum,
                         fd_halfline_spectrum, full_gauge, lambda_from_gauge,
                         moments, optimal_transverse_gauge,
                         rayleigh_quotient_1d)
@@ -269,6 +270,28 @@ class TestConeQuotientConsistency:
             cone_quotient_consistency(
                 lambda x: math.exp(-x * x / 2.0), gauge, unit_disc,
                 truncation=12.0, dphi=lambda x: -x * math.exp(-x * x / 2.0))
+
+    def test_many_vertex_polygon_in_bounded_memory(self):
+        # a seeded 64-vertex star polygon has 16384 section nodes; the
+        # gauge at all 160 heights at once would take 143 MB
+        rng = np.random.default_rng(64)
+        ang = 2.0 * np.pi * np.arange(64) / 64 + rng.uniform(0.0, 0.05, 64)
+        rad = rng.uniform(0.4, 1.0, 64)
+        star = Polygon(np.column_stack([rad * np.cos(ang),
+                                        rad * np.sin(ang)]))
+        gauge = full_gauge((0.3, -0.2, 1.0), optimal_transverse_gauge(star))
+        tracemalloc.start()
+        try:
+            three_d, one_d = cone_quotient_consistency(
+                lambda x: math.exp(-x * x / 2.0), gauge, star,
+                dphi=lambda x: -x * math.exp(-x * x / 2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        # the values of the unblocked evaluation
+        assert three_d == pytest.approx(1.650400871427138, rel=1e-14)
+        assert one_d == pytest.approx(1.650400871427138, rel=1e-14)
 
     def test_bad_truncation(self, unit_disc):
         with pytest.raises(DomainError):

@@ -190,49 +190,32 @@ class TestHalfspaceSigma:
 class TestEnergyEstimate:
     def test_two_sided_ordering(self):
         with pytest.raises(DomainError):
-            EnergyEstimate(kind="TwoSided", source="x", lower=2.0, upper=1.0)
+            EnergyEstimate(source="x", lower=2.0, upper=1.0)
 
-    def test_missing_values(self):
-        with pytest.raises(UsageError):
-            EnergyEstimate(kind="UpperBound", source="x")
-        with pytest.raises(UsageError):
-            EnergyEstimate(kind="TwoSided", source="x", lower=1.0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(UsageError):
-            EnergyEstimate(kind="Exact", source="x", upper=1.0)
-
-    def test_value_and_json(self):
-        est = EnergyEstimate(kind="TwoSided", source="s", lower=1.0, upper=2.0)
-        assert est.value == 2.0
+    def test_json_form(self):
+        est = EnergyEstimate(source="s", lower=1.0, upper=2.0)
         assert est.to_json_dict() == {"kind": "TwoSided", "source": "s",
                                       "lower": 1.0, "upper": 2.0}
-        low = EnergyEstimate(kind="LowerBound", source="s", lower=0.5)
-        assert low.value == 0.5
 
 
 class TestWedgeUpper:
     def test_pi_third(self):
-        est = wedge_energy_upper(math.pi / 3.0)
-        assert est.kind == "UpperBound"
-        assert est.upper == pytest.approx(math.pi / (3.0 * math.sqrt(3.0)),
-                                          rel=1e-14)
-        assert est.upper == pytest.approx(0.604600, abs=5e-7)
+        upper = wedge_energy_upper(math.pi / 3.0)
+        assert upper == pytest.approx(math.pi / (3.0 * math.sqrt(3.0)),
+                                      rel=1e-14)
+        assert upper == pytest.approx(0.604600, abs=5e-7)
 
     def test_linear_vanishing(self):
-        assert wedge_energy_upper(1e-9).upper == pytest.approx(
+        assert wedge_energy_upper(1e-9) == pytest.approx(
             1e-9 / math.sqrt(3.0), rel=1e-12)
 
     def test_sqrt_three_identity(self):
-        assert wedge_energy_upper(math.sqrt(3.0)).upper == pytest.approx(
+        assert wedge_energy_upper(math.sqrt(3.0)) == pytest.approx(
             1.0, rel=1e-15)
 
     def test_field_norm_factor(self):
-        assert wedge_energy_upper(0.5, 3.0).upper == pytest.approx(
-            3.0 * wedge_energy_upper(0.5).upper, rel=1e-15)
-
-    def test_orientation_restriction_flagged(self):
-        assert "orientation" in wedge_energy_upper(1.0).source
+        assert wedge_energy_upper(0.5, 3.0) == pytest.approx(
+            3.0 * wedge_energy_upper(0.5), rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -241,6 +224,44 @@ class TestWedgeUpper:
             wedge_energy_upper(2.0 * math.pi)
         with pytest.raises(DomainError):
             wedge_energy_upper(1.0, -1.0)
+
+
+#: Sections of the assembly check: the square, the triangle and a
+#: non-convex pentagon (reflex corner at (1, 0.7)).
+ASSEMBLY_SECTIONS = {
+    "square": [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)],
+    "triangle": [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+    "pentagon": [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (1.0, 0.7), (0.0, 2.0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_SECTIONS))
+@pytest.mark.parametrize("field", [(0.0, 0.0, 1.0), (0.3, -0.4, 0.8)])
+@pytest.mark.parametrize("c_floor", [0.3, 0.7])
+def test_every_rung_is_the_least_channel(name, field, c_floor):
+    # each end of every rung is |B| times the least of the interior, face
+    # and edge channels, the faces at the cone_faces angles and the edges
+    # at the cone_edge_openings, with the wedge bound above and the floor
+    # below; a floor above a wedge bound rejects the whole ladder
+    section = Polygon(ASSEMBLY_SECTIONS[name])
+    b = np.array(field)
+    norm = float(np.linalg.norm(b))
+    ladder = [0.6, 0.3, 0.1, 0.02]
+    want = []
+    for eps in ladder:
+        faces = geometry.cone_faces(section, eps)
+        thetas = np.arcsin(np.minimum(1.0, np.abs(faces @ b) / norm))
+        sigmas = [halfspace_sigma(th) for th in thetas.tolist()]
+        wedges = [wedge_energy_upper(a) for a in
+                  geometry.cone_edge_openings(section, eps).tolist()]
+        want.append((norm * min([1.0] + sigmas + [c_floor]),
+                     norm * min([1.0] + sigmas + wedges)))
+    if any(lower > upper for lower, upper in want):
+        with pytest.raises(DomainError, match="c_floor exceeds"):
+            essential_spectrum_limit(field, section, ladder, c_floor)
+        return
+    got = essential_spectrum_limit(field, section, ladder, c_floor)
+    assert [(est.lower, est.upper) for _, est in got] == want
 
 
 class TestCylinderEnergy:
