@@ -11,7 +11,8 @@ faces, wedges along the edges.  The corresponding scalar model energies
   with the field: ``sigma(theta)``, the bottom of a Schroedinger operator
   on a half-plane, computed by Rayleigh-Ritz on a theta-adapted spectral
   basis (an upper bound); ``sigma(0)`` is the de Gennes constant
-  ``Theta_0 ~ 0.59`` and ``sigma(pi/2) = 1``, nondecreasing in between,
+  ``Theta_0 ~ 0.59`` and ``sigma(pi/2) = 1``, nondecreasing in between
+  (Lu-Pan 2000),
 * wedge of opening ``alpha``: no closed form; a trusted caller-supplied
   floor ``c_floor`` is used from below and the small-opening upper bound
   ``|B| alpha / sqrt(3)`` (:func:`wedge_energy_upper`, the ``wedge`` kind
@@ -26,8 +27,10 @@ section, which is the cone at ``eps = 0``.  Both are one function,
 :func:`~conebounds.geometry.cone_faces` array per call, the edge openings
 being the angles between its consecutive rows (as in
 :func:`~conebounds.geometry.cone_edge_openings`), and takes the least
-channel at each end.  An explicit threshold says when the apex bound drops
-below every non-apex channel, certifying corner concentration.
+channel at each end.  Both channels grow with their angle, so each is read
+at its least one: ``sigma`` at the least face angle, one solve per ladder
+rung.  An explicit threshold says when the apex bound drops below every
+non-apex channel, certifying corner concentration.
 
 Every half-space energy here (the de Gennes band ``mu(xi)``, ``Theta_0``
 and ``sigma(theta)``) is a Rayleigh-Ritz value on a spectral basis, so an
@@ -170,7 +173,12 @@ def halfspace_sigma(theta: float) -> float:
     is returned as 1.  The operator degenerates as ``theta -> 0`` (the
     minimizing frequency escapes in ``s``), so ``theta <= ZERO_ANGLE_ATOL``
     is delegated to the de Gennes constant, a Rayleigh-Ritz value too.
-    Monotone nondecreasing from ``Theta_0`` to 1.
+
+    ``sigma`` is nondecreasing from ``Theta_0`` to 1 (Lu and Pan,
+    J. Differential Equations, 2000), which lets the essential-energy
+    estimates solve at the least face angle only.  The Rayleigh-Ritz value
+    is nondecreasing on either side of :data:`SHEAR_ANGLE` and drops by
+    5.6e-6 across it, where the basis switches.
     """
     th = float(theta)
     if not (0.0 <= th <= math.pi / 2.0 + 1e-12):
@@ -340,17 +348,26 @@ def _tangent_estimate(b: MagneticField, section: Polygon, eps: float,
     ``eps * section``, the reference cylinder at ``eps = 0``: one half-space
     per row of :func:`cone_faces`, at the angle ``arcsin(|N . B| / |B|)`` to
     the field, and one wedge per cone edge.  Per unit field, the upper end
-    is the least of 1, the ``sigma`` values and the wedge upper bounds, the
-    lower end the least of 1, the ``sigma`` values and ``c_floor``."""
+    is the least of 1, the face ``sigma`` values and the wedge upper bounds,
+    the lower end the least of 1, the face ``sigma`` values and ``c_floor``.
+
+    ``sigma`` is nondecreasing in the field angle (Lu-Pan 2000) and the
+    wedge bound ``alpha / sqrt(3)`` increasing in the opening, so each
+    channel is read at its least angle: one ``sigma`` solve per call.  The
+    Rayleigh-Ritz ``sigma`` is monotone on either side of
+    :data:`SHEAR_ANGLE` but drops by 5.6e-6 across it, where the basis
+    switches; face angles straddling it within about 1e-5 rad can give
+    ends up to that much above the least Rayleigh-Ritz value over the
+    faces.  The upper end is still an upper bound: the true least face
+    value is ``sigma(theta_min)``, below its Rayleigh-Ritz value."""
     if b.norm == 0.0:
         return EnergyEstimate(source="zero field", lower=0.0, upper=0.0)
     faces = cone_faces(section, eps)
     thetas = np.arcsin(np.minimum(1.0, np.abs(faces @ b.as_array()) / b.norm))
-    sigmas = [halfspace_sigma(th) for th in thetas.tolist()]
+    sigma = halfspace_sigma(float(thetas.min()))
     openings = _edge_openings(section, faces, np.arange(section.n_vertices))
-    upper = min([1.0] + sigmas
-                + [wedge_energy_upper(a) for a in openings.tolist()])
-    lower = min([1.0] + sigmas + [c_floor])
+    upper = min(1.0, sigma, wedge_energy_upper(float(openings.min())))
+    lower = min(1.0, sigma, c_floor)
     if lower > upper:
         raise DomainError(
             "c_floor exceeds a wedge upper bound; the supplied floor cannot "

@@ -7,7 +7,10 @@ moment code is cross-checked against an independent route; the optimal
 gauge is recomputed from finite differences of its quadratic objective;
 the half-plane energy ``sigma(theta)`` is cross-checked by finite
 differences against the library's spectral Rayleigh-Ritz solve, and so
-is the de Gennes band ``mu(xi)`` (``fd_degennes_mu``); the
+is the de Gennes band ``mu(xi)`` (``fd_degennes_mu``);
+``per_face_channel_ends`` solves ``sigma`` on every face of a cone and
+takes the least channel, the reference for the library's estimate, which
+solves once, at the least face angle; the
 radial projection of the cone onto a thin cylinder, with its Jacobian,
 gives the cone-versus-cylinder deviation checks; ``quad_robin_bound``
 integrates the Robin cone bound over the polar boundary profile with
@@ -25,8 +28,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from conebounds import (Disc, DomainError, GeometryError, Moments, Polygon,
-                        TransverseGauge, UsageError, centroid, moments)
+from conebounds import (Disc, DomainError, GeometryError, MagneticField,
+                        Moments, Polygon, TransverseGauge, UsageError, centroid,
+                        halfspace_sigma, moments, wedge_energy_upper)
+from conebounds.geometry import cone_edge_openings, cone_faces
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +193,28 @@ def fd_halfspace_sigma(theta, s_half=10.0, t_max=20.0, n_s=159, n_t=160):
     val = eigsh(ham, k=1, sigma=0.0, which="LM", v0=np.ones(n_s * n_t),
                 return_eigenvectors=False)
     return float(val[0])
+
+
+# ---------------------------------------------------------------------------
+# tangent channels face by face (the reference for models._tangent_estimate)
+
+def per_face_channel_ends(field, section, eps, c_floor):
+    """``(lower, upper)`` essential-energy ends of the cone over ``eps * w``.
+
+    ``sigma`` is solved at the field angle of every row of ``cone_faces``
+    and the wedge bound taken at every cone edge opening; the upper end is
+    ``|B|`` times the least of 1, the ``sigma`` values and the wedge
+    bounds, the lower end ``|B|`` times the least of 1, the ``sigma``
+    values and ``c_floor``.  ``eps = 0`` is the reference cylinder.
+    """
+    b = MagneticField.from_any(field)
+    faces = cone_faces(section, eps)
+    thetas = np.arcsin(np.minimum(1.0, np.abs(faces @ b.as_array()) / b.norm))
+    sigmas = [halfspace_sigma(th) for th in thetas.tolist()]
+    wedges = [wedge_energy_upper(a)
+              for a in cone_edge_openings(section, eps).tolist()]
+    return (b.norm * min([1.0] + sigmas + [c_floor]),
+            b.norm * min([1.0] + sigmas + wedges))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from conebounds import (Disc, DomainError, EnergyEstimate, Polygon,
 from conebounds.models import (SHEAR_ANGLE, _sigma_cached, degennes_basis,
                                rayleigh_ritz_mu, rayleigh_ritz_sigma,
                                sigma_basis)
-from conftest import fd_degennes_mu, fd_halfspace_sigma
+from conftest import (fd_degennes_mu, fd_halfspace_sigma, per_face_channel_ends,
+                      random_field, random_star_polygon)
 
 # the centred square with a straight corner at (0, -1)
 FLAT_CORNER = [(-1, -1), (0, -1), (1, -1), (1, 1), (-1, 1)]
@@ -120,12 +121,20 @@ class TestHalfspaceSigma:
         a, b = (_sigma_cached.__wrapped__(0.7) for _ in range(2))
         assert a == b
 
-    def test_monotone_on_nine_grid(self):
-        thetas = np.linspace(0.0, math.pi / 2.0, 9)
-        vals = [halfspace_sigma(t) for t in thetas]
-        assert all(b - a >= -1e-3 for a, b in zip(vals, vals[1:]))
-        assert vals[0] == pytest.approx(theta0(), abs=1e-2)
-        assert vals[-1] == pytest.approx(1.0, abs=1e-2)
+    def test_monotone_on_either_side_of_the_shear_angle(self):
+        # sigma is nondecreasing (Lu-Pan 2000), and the ess estimates read
+        # the face channel at the least field angle on that account; the
+        # Rayleigh-Ritz value keeps it exactly on each basis, and drops by
+        # 5.6e-6 where the basis switches
+        below = [halfspace_sigma(t)
+                 for t in np.linspace(0.0, SHEAR_ANGLE - 1e-9, 129)]
+        above = [halfspace_sigma(t)
+                 for t in np.linspace(SHEAR_ANGLE, math.pi / 2.0, 129)]
+        for vals in (below, above):
+            assert all(a <= b for a, b in zip(vals, vals[1:]))
+        assert 0.0 < below[-1] - above[0] <= 1e-5
+        assert below[0] == theta0()
+        assert above[-1] == 1.0
 
     def test_range(self):
         for t in (0.2, 0.7, 1.3):
@@ -244,24 +253,84 @@ def test_every_rung_is_the_least_channel(name, field, c_floor):
     # at the cone_edge_openings, with the wedge bound above and the floor
     # below; a floor above a wedge bound rejects the whole ladder
     section = Polygon(ASSEMBLY_SECTIONS[name])
-    b = np.array(field)
-    norm = float(np.linalg.norm(b))
     ladder = [0.6, 0.3, 0.1, 0.02]
-    want = []
-    for eps in ladder:
-        faces = geometry.cone_faces(section, eps)
-        thetas = np.arcsin(np.minimum(1.0, np.abs(faces @ b) / norm))
-        sigmas = [halfspace_sigma(th) for th in thetas.tolist()]
-        wedges = [wedge_energy_upper(a) for a in
-                  geometry.cone_edge_openings(section, eps).tolist()]
-        want.append((norm * min([1.0] + sigmas + [c_floor]),
-                     norm * min([1.0] + sigmas + wedges)))
+    want = [per_face_channel_ends(field, section, eps, c_floor)
+            for eps in ladder]
     if any(lower > upper for lower, upper in want):
         with pytest.raises(DomainError, match="c_floor exceeds"):
             essential_spectrum_limit(field, section, ladder, c_floor)
         return
     got = essential_spectrum_limit(field, section, ladder, c_floor)
     assert [(est.lower, est.upper) for _, est in got] == want
+
+
+def _seeded_section(kind, rng):
+    if kind == "square":
+        corners = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
+        return Polygon(rng.uniform(-0.3, 0.3, 2)
+                       + rng.uniform(0.5, 1.5) * corners)
+    if kind == "star":
+        # ten vertices on alternating radii: five reflex corners
+        phi = rng.uniform(0.0, 2.0 * math.pi) \
+            + np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)
+        r = np.where(np.arange(10) % 2 == 0, 1.0, rng.uniform(0.35, 0.6))
+        return Polygon(np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+                       + rng.uniform(-0.3, 0.3, 2))
+    return random_star_polygon(rng, {"triangle": 3, "pentagon": 5}[kind])
+
+
+@pytest.mark.parametrize("kind", ["square", "triangle", "pentagon", "star"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_least_angle_estimate_equals_the_per_face_oracle(kind, seed):
+    # sigma(theta) and alpha / sqrt(3) are nondecreasing, so reading each
+    # channel at its least angle gives the per-face minimum bit for bit
+    rng = np.random.default_rng(seed)
+    section = _seeded_section(kind, rng)
+    ladder = [0.5, 0.2, 0.05]
+    for field in [(0.0, 0.0, 1.0), tuple(random_field(rng))]:
+        got = [(est.lower, est.upper) for _, est in
+               essential_spectrum_limit(field, section, ladder, 0.1)]
+        cyl = cylinder_energy(field, section, 0.1)
+        got.append((cyl.lower, cyl.upper))
+        want = [per_face_channel_ends(field, section, eps, 0.1)
+                for eps in ladder + [0.0]]
+        assert got == want
+
+
+def test_face_angles_straddling_the_shear_angle():
+    # the Rayleigh-Ritz sigma drops by 5.6e-6 where its basis switches, so
+    # faces just either side of SHEAR_ANGLE give ends above the per-face
+    # minimum by at most that jump, never below it
+    bx, by = math.sin(SHEAR_ANGLE - 1e-7), math.sin(SHEAR_ANGLE + 1e-7)
+    field = (bx, by, math.sqrt(1.0 - bx * bx - by * by))
+    square = Polygon(ASSEMBLY_SECTIONS["square"])
+    est = cylinder_energy(field, square, 1.0)
+    lower, upper = per_face_channel_ends(field, square, 0.0, 1.0)
+    assert 0.0 < est.lower - lower <= 1e-5
+    assert 0.0 < est.upper - upper <= 1e-5
+
+
+PENTAGON = [(0.3, -0.8), (1.2, -0.2), (0.9, 1.0), (-0.4, 1.1), (-1.0, -0.3)]
+
+
+@pytest.mark.parametrize("vertices, field", [
+    # three congruent faces, whose field angles agree up to roundoff
+    ([(math.cos(a), math.sin(a)) for a in
+      (math.pi / 2, 7 * math.pi / 6, 11 * math.pi / 6)], (0.0, 0.0, 1.0)),
+    (ASSEMBLY_SECTIONS["square"], (0.3, -0.4, 0.8)),
+    (PENTAGON, (0.0, 0.0, 1.0)),
+])
+def test_one_sigma_solve_per_rung(vertices, field):
+    _sigma_cached.cache_clear()
+    essential_spectrum_limit(field, Polygon(vertices), [0.4, 0.2, 0.1], 0.5)
+    assert _sigma_cached.cache_info().misses == 3
+
+
+def test_one_sigma_solve_per_cylinder():
+    _sigma_cached.cache_clear()
+    cylinder_energy((0.3, -0.4, 0.8), Polygon(ASSEMBLY_SECTIONS["square"]),
+                    0.5)
+    assert _sigma_cached.cache_info().misses == 1
 
 
 class TestCylinderEnergy:
