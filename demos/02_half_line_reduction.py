@@ -8,19 +8,20 @@ Restricting the quadratic form to functions of the height alone turns the
 
 whose spectrum is known in closed form: sqrt(lam) (4n - 1). This script
 checks the finite-difference discretization against those values, probes
-the Rayleigh quotient around the exact ground profile, and verifies that
-a direct solid-cone quadrature of a test function reproduces the 1D
-quotient to quadrature accuracy.
+the Rayleigh quotient around the exact ground profile, and integrates a
+test profile over the solid cone by quadrature (a 16 x 32 polar rule on
+the disc times 160 Gauss-Legendre heights, written out below) to show
+that it reproduces the 1D quotient.
 """
 
 import math
 
 import numpy as np
 
-from conebounds import (Disc, GridSpec, cone_quotient_consistency,
-                        exact_reduced_spectrum, fd_halfline_spectrum,
-                        full_gauge, lambda_from_gauge, moments,
-                        optimal_transverse_gauge, rayleigh_quotient_1d)
+from conebounds import (Disc, GridSpec, exact_reduced_spectrum,
+                        fd_halfline_spectrum, full_gauge, lambda_from_gauge,
+                        moments, optimal_transverse_gauge,
+                        rayleigh_quotient_1d)
 
 # --- lam from the optimal gauge --------------------------------------------
 
@@ -61,8 +62,21 @@ for t in (0.6, 0.8, 1.0, 1.25, 1.6):
 
 # --- solid cone versus half line ---------------------------------------------
 
-# Quadrature over the truncated solid cone with the physical gauge equals
-# the weighted 1D quotient of the same height profile.
+# Quadrature over the cone truncated at height 12 lam^(-1/4), with the gauge
+# evaluated at the physical points t (x1, x2), equals the weighted 1D
+# quotient of the same height profile.
+g, gw = np.polynomial.legendre.leggauss(16)
+r, wr = 0.5 * (g + 1.0), 0.25 * gw * (g + 1.0)    # radii, with Jacobian r
+ang = 2.0 * np.pi * np.arange(32) / 32
+pts = np.column_stack([np.outer(r, np.cos(ang)).ravel(),
+                       np.outer(r, np.sin(ang)).ravel()])
+wts = np.repeat(wr * (2.0 * np.pi / 32), 32)
+t_max = 12.0 * lam ** -0.25
+g, gw = np.polynomial.legendre.leggauss(160)
+t = 0.5 * t_max * (g + 1.0)
+jac = 0.5 * t_max * gw * t * t                    # height weights times t^2
+mean_sq = np.array([wts @ np.sum((s * pts @ gauge.T) ** 2, axis=1)
+                    for s in t]) / np.sum(wts)    # mean |A|^2 at each height
 for label, phi, dphi in (
         ("exp(-x^2/2)",
          lambda x: math.exp(-x * x / 2.0),
@@ -70,6 +84,8 @@ for label, phi, dphi in (
         ("x exp(-x^2/2)",
          lambda x: x * math.exp(-x * x / 2.0),
          lambda x: (1.0 - x * x) * math.exp(-x * x / 2.0))):
-    three_d, one_d = cone_quotient_consistency(phi, gauge, disc, dphi=dphi)
+    phi_v, dphi_v = np.vectorize(phi)(t), np.vectorize(dphi)(t)
+    three_d = jac @ (mean_sq * phi_v ** 2 + dphi_v ** 2) / (jac @ phi_v ** 2)
+    one_d = rayleigh_quotient_1d(phi, lam, du=dphi)
     print(f"profile {label:15s}: 3D quadrature {three_d:.10f}, "
           f"1D quotient {one_d:.10f}")

@@ -19,11 +19,11 @@ from .gauge import (BoundResult, MagneticField, TransverseGauge, e_constant,
 from .geometry import (Disc, Moments, Polygon, Section, centroid,
                        cone_edge_openings, cone_faces, disc_moments,
                        interior_angle, moments, polygon_moments,
-                       scale_section, section_from_json, section_quadrature,
-                       section_to_json, spherical_vertex_opening)
-from .halfline import (GridSpec, cone_quotient_consistency, default_grid,
-                       exact_reduced_spectrum, fd_halfline_spectrum,
-                       lambda_from_gauge, rayleigh_quotient_1d)
+                       scale_section, section_from_json, section_to_json,
+                       spherical_vertex_opening)
+from .halfline import (GridSpec, default_grid, exact_reduced_spectrum,
+                       fd_halfline_spectrum, lambda_from_gauge,
+                       rayleigh_quotient_1d)
 from .models import (ConcentrationThreshold, ConcentrationVerdict,
                      DeGennesResult, EnergyEstimate, TruncatedEdgeReport,
                      concentration_threshold, cylinder_energy, degennes_mu,
@@ -45,9 +45,8 @@ __all__ = [
     "Disc", "Moments", "Polygon", "Section", "centroid", "cone_edge_openings",
     "cone_faces", "disc_moments",
     "interior_angle", "moments", "polygon_moments", "scale_section",
-    "section_from_json", "section_quadrature", "section_to_json",
-    "spherical_vertex_opening",
-    "GridSpec", "cone_quotient_consistency", "default_grid",
+    "section_from_json", "section_to_json", "spherical_vertex_opening",
+    "GridSpec", "default_grid",
     "exact_reduced_spectrum", "fd_halfline_spectrum", "lambda_from_gauge",
     "rayleigh_quotient_1d",
     "ConcentrationThreshold", "ConcentrationVerdict", "DeGennesResult",

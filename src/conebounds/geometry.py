@@ -18,8 +18,9 @@ dihedral angle, equal to the interior angle of the spherical section at the
 corresponding vertex).  Both take ``eps = 0``, the reference cylinder over
 the section, whose tangent models (one half-space per side, one wedge per
 corner at the plane angle) are thus the same computation as the cone's.
-The radial projection that compares a sharp cone with a thin cylinder
-lives with the tests (``tests/conftest.py::project_P``).
+The radial projection that compares a sharp cone with a thin cylinder,
+and the quadrature nodes that check the moments, live with the tests
+(``tests/conftest.py::project_P`` and ``section_nodes``).
 
 Conventions: angles in radians, vertices normalized to counterclockwise
 order, no implicit recentring of sections.  A separate helper reports the
@@ -298,60 +299,6 @@ def scale_section(section: Section, eps: float) -> Section:
     if isinstance(section, Polygon):
         return Polygon(e * section.vertices)
     raise UsageError(f"not a section: {section!r}")
-
-
-# ---------------------------------------------------------------------------
-# quadrature nodes on a section (used for consistency checks, not for moments)
-
-def section_quadrature(section: Section, order: int = 12):
-    """Quadrature nodes and weights integrating smooth f over the section.
-
-    Polygons are fanned into signed triangles from the first vertex, each
-    mapped from the unit square by the collapsed (Duffy) map, with a
-    Gauss-Legendre rule per direction; the signed Jacobian makes the fan
-    correct for nonconvex simple polygons.  Discs use Gauss-Legendre in the
-    radius against an equally weighted periodic rule in the angle.  Exact
-    for polynomial integrands of degree up to roughly ``2*order - 2``.
-
-    Returns
-    -------
-    points : ndarray, shape (N, 2)
-    weights : ndarray, shape (N,)
-        Weights sum to the section area (some may be negative on
-        nonconvex polygons).
-    """
-    g = int(order)
-    if g < 2:
-        raise UsageError("quadrature order must be at least 2")
-    gx, gw = np.polynomial.legendre.leggauss(g)
-    u01 = 0.5 * (gx + 1.0)  # nodes on [0, 1]
-    w01 = 0.5 * gw
-    if isinstance(section, Disc):
-        r = section.radius * u01
-        wr = section.radius * w01 * r          # includes the polar Jacobian
-        m = max(2 * g, 16)
-        phi = 2.0 * np.pi * np.arange(m) / m
-        wphi = 2.0 * np.pi / m
-        pts = section.center + np.stack(
-            [np.outer(r, np.cos(phi)).ravel(), np.outer(r, np.sin(phi)).ravel()],
-            axis=1)
-        wts = np.outer(wr, np.full(m, wphi)).ravel()
-        return pts, wts
-    if not isinstance(section, Polygon):
-        raise UsageError(f"not a section: {section!r}")
-    v = section.vertices
-    pts_list, wts_list = [], []
-    uu, vv = np.meshgrid(u01, u01, indexing="ij")
-    ww = np.outer(w01, w01)
-    for i in range(1, len(v) - 1):
-        a, b, c = v[0], v[i], v[i + 1]
-        j0 = _cross(b - a, c - a)  # signed, twice the triangle area
-        # collapsed map x = a + u*(b-a) + u*v*(c-b), jacobian u*j0
-        x = a[0] + uu * (b[0] - a[0]) + uu * vv * (c[0] - b[0])
-        y = a[1] + uu * (b[1] - a[1]) + uu * vv * (c[1] - b[1])
-        pts_list.append(np.stack([x.ravel(), y.ravel()], axis=1))
-        wts_list.append((ww * uu * j0).ravel())
-    return np.concatenate(pts_list), np.concatenate(wts_list)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 The oracles here deliberately avoid the library's own algorithms: moments
 are integrated by tensor-product Gauss-Legendre rules assembled from
 scratch (triangle fan for polygons, polar grid for discs), so closed-form
-moment code is cross-checked against an independent route; the optimal
+moment code is cross-checked against an independent route;
+``cone_quotient`` integrates a height profile's magnetic quotient over the
+solid cone with the same section rules, the check of the half-line
+reduction that the library states by algebra; the optimal
 gauge is recomputed from finite differences of its quadratic objective;
 the half-plane energy ``sigma(theta)`` is cross-checked by finite
 differences against the library's spectral Rayleigh-Ritz solve, and so
@@ -30,12 +33,13 @@ from numpy.polynomial.legendre import leggauss
 
 from conebounds import (Disc, DomainError, GeometryError, MagneticField,
                         Moments, Polygon, TransverseGauge, UsageError, centroid,
-                        halfspace_sigma, moments, wedge_energy_upper)
+                        halfspace_sigma, lambda_from_gauge, moments,
+                        wedge_energy_upper)
 from conebounds.geometry import cone_edge_openings, cone_faces
 
 
 # ---------------------------------------------------------------------------
-# quadrature nodes (independent of conebounds.geometry.section_quadrature)
+# quadrature nodes on a section (independent of the closed-form moments)
 
 def polygon_nodes(vertices, order=24):
     """Nodes and weights integrating over a star-shaped polygon.
@@ -90,6 +94,38 @@ def quad_moments(section, order=24):
     x, y = pts[:, 0], pts[:, 1]
     return (float(np.sum(w)), float(np.sum(w * y * y)),
             float(np.sum(w * x * y)), float(np.sum(w * x * x)))
+
+
+# ---------------------------------------------------------------------------
+# solid-cone quotient of a height profile (independent of the 1D reduction)
+
+def cone_quotient(phi, dphi, gauge, section):
+    """``(three_d, one_d)``: two quotients of one height profile ``phi``.
+
+    ``three_d`` integrates ``|A(x)|^2 phi(x3)^2 + phi'(x3)^2`` over the cone
+    truncated at ``12 lam^(-1/4)`` (at 12 when ``lam = 0``), with the linear
+    gauge ``A(x) = gauge @ (x1, x2)`` evaluated height by height at the
+    physical points ``t (x1, x2)``: an order-16 section rule times 160
+    Gauss-Legendre heights with the ``t^2`` Jacobian.  ``one_d`` is the
+    half-line quotient on the same heights, with ``lam = ||A||^2 / |w|``
+    from the library's moments.  The reduction says they are equal.
+    """
+    a = np.asarray(gauge, dtype=float)
+    lam = lambda_from_gauge(a, section) if np.any(a) else 0.0
+    t_max = 12.0 * (lam ** -0.25 if lam > 0.0 else 1.0)
+    pts, wts = section_nodes(section, order=16)
+    area = float(np.sum(wts))
+    g, gw = leggauss(160)
+    t = 0.5 * t_max * (g + 1.0)
+    jac = 0.5 * t_max * gw * t * t
+    phi_v = np.array([phi(s) for s in t])
+    dphi_v = np.array([dphi(s) for s in t])
+    gauge_sq = np.array([wts @ np.sum((s * pts @ a.T) ** 2, axis=1)
+                         for s in t])
+    den = float(jac @ phi_v ** 2)
+    three_d = jac @ (gauge_sq * phi_v ** 2 + area * dphi_v ** 2) / (area * den)
+    one_d = jac @ (dphi_v ** 2 + lam * t * t * phi_v ** 2) / den
+    return float(three_d), float(one_d)
 
 
 # ---------------------------------------------------------------------------

@@ -17,17 +17,17 @@ import numpy as np
 import pytest
 
 from conebounds import (Disc, GridSpec, Polygon, TransverseGauge,
-                        concentration_threshold, cone_quotient_consistency,
-                        cylinder_energy, e_constant, essential_spectrum_limit,
-                        fd_halfline_spectrum, full_gauge, halfspace_sigma,
+                        concentration_threshold, cylinder_energy, e_constant,
+                        essential_spectrum_limit, fd_halfline_spectrum,
+                        full_gauge, halfspace_sigma,
                         moments, optimal_transverse_gauge,
                         rayleigh_upper_bounds, robin_cone_upper_bound,
                         robin_model_energy, robin_scaling_exponent,
                         scale_section, spherical_vertex_opening, theta0,
                         theta0_detail, truncated_domain_edges,
                         BoundaryProfile)
-from conftest import (brute_force_gauge, projection_jacobian, quad_moments,
-                      random_star_polygon, section_nodes)
+from conftest import (brute_force_gauge, cone_quotient, projection_jacobian,
+                      quad_moments, random_star_polygon, section_nodes)
 
 UNIT_DISC = Disc(center=(0.0, 0.0), radius=1.0)
 SQUARE = Polygon([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
@@ -155,12 +155,19 @@ def test_criterion_07_reduction_consistency():
     for section in (UNIT_DISC, SQUARE):
         gauge = full_gauge(AXIAL, optimal_transverse_gauge(moments(section)))
         for phi, dphi in profiles:
-            three_d, one_d = cone_quotient_consistency(phi, gauge, section,
-                                                       dphi=dphi)
+            three_d, one_d = cone_quotient(phi, dphi, gauge, section)
             worst = max(worst, abs(three_d - one_d) / one_d)
-    check(7, worst <= 1e-4,
+    # an off-centre triangle under a tilted field, so A3 = b1 x2 - b2 x1
+    # is not zero
+    triangle = Polygon([(0.2, 0.1), (1.6, 0.3), (0.5, 1.4)])
+    gauge = full_gauge((0.6, -0.3, 0.7),
+                       optimal_transverse_gauge(moments(triangle)))
+    tilted = cone_quotient(*profiles[0], gauge, triangle)
+    tilted_gap = abs(tilted[0] - tilted[1]) / tilted[1]
+    check(7, worst <= 1e-4 and tilted_gap <= 1e-12,
           f"solid-cone vs weighted 1D quotient, worst relative gap "
-          f"{worst:.2e} over 2 profiles x 2 sections")
+          f"{worst:.2e} over 2 profiles x 2 sections, {tilted_gap:.2e} on "
+          f"the off-centre triangle under a tilted field")
 
 
 def test_criterion_08_norm_and_homogeneity():

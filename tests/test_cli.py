@@ -375,6 +375,23 @@ class TestExitCodes:
         assert report["error"] == {"kind": "parse", "message":
                                    "--xmax and --npoints need --method fd"}
 
+    @pytest.mark.parametrize("args, code, kind", [
+        (["--lam", "1", "--xmax", "1e-300", "--npoints", "16"], 2, "parse"),
+        (["--lam", "1", "--xmax", "1e200", "--npoints", "16"], 2, "parse"),
+        (["--lam", "1e300"], 4, "accuracy"),
+        (["--lam", "1", "--n", "5000", "--xmax", "12", "--npoints", "100"],
+         2, "parse"),
+        (["--lam", "1", "--xmax", "1e-160", "--npoints", "16"], 2, "parse"),
+        (["--lam", "1e300", "--xmax", "1e10", "--npoints", "16"], 2, "parse"),
+    ], ids=["spacing-underflow", "spacing-overflow", "solver-failure",
+            "n-above-grid", "inverse-square-overflow", "potential-overflow"])
+    def test_fd_failures_are_error_reports(self, capsys, args, code, kind):
+        # a grid whose spacing cannot be squared, a tridiagonal eigensolve
+        # that does not converge, more eigenvalues than grid points, and
+        # matrix entries 2 / h^2 or lam x^2 past the float range
+        got, report = run_cli(capsys, ["spectrum1d", "--method", "fd", *args])
+        assert (got, report["error"]["kind"]) == (code, kind)
+
     def test_coarse_fd_warns_without_strict(self, capsys):
         args = ["spectrum1d", "--lam", "1", "--method", "fd",
                 "--xmax", "1.5", "--npoints", "100"]
@@ -555,6 +572,18 @@ class TestImportCost:
                                         "--method", "fd"])
         assert code == 0
         assert out["fd"] == report["result"]["eigenvalues"]
+
+
+class TestPublicNames:
+    def test_every_exported_name_resolves(self):
+        missing = [name for name in conebounds.__all__
+                   if not hasattr(conebounds, name)]
+        assert missing == []
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from conebounds import *", namespace)
+        assert set(conebounds.__all__) <= set(namespace)
 
 
 # Runs in a fresh interpreter: the benchmark's tracer (perfbench/tracing.py)

@@ -9,10 +9,10 @@ import pytest
 from conebounds import (Disc, GeometryError, Polygon, UsageError, centroid,
                         cone_edge_openings, cone_faces, disc_moments,
                         interior_angle, moments, polygon_moments,
-                        scale_section, section_from_json, section_quadrature,
-                        section_to_json, spherical_vertex_opening)
+                        scale_section, section_from_json, section_to_json,
+                        spherical_vertex_opening)
 from conftest import (ScalarPolygon, project_P, projection_jacobian,
-                      quad_moments, random_star_polygon)
+                      quad_moments, random_star_polygon, section_nodes)
 
 
 class TestPolygonValidation:
@@ -307,15 +307,17 @@ class TestCentroid:
 
 
 class TestSectionQuadrature:
+    """The test oracle's section rules: polar grid and signed triangle fan."""
+
     def test_disc_area_and_moment(self, unit_disc):
-        pts, w = section_quadrature(unit_disc, order=10)
+        pts, w = section_nodes(unit_disc, order=10)
         assert float(np.sum(w)) == pytest.approx(math.pi, rel=1e-12)
         assert float(np.sum(w * pts[:, 0] ** 2)) == pytest.approx(
             math.pi / 4, rel=1e-12)
 
     def test_nonconvex_polygon_area(self):
         arrow = Polygon([(0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)])
-        pts, w = section_quadrature(arrow, order=16)
+        pts, w = section_nodes(arrow, order=16)
         assert float(np.sum(w)) == pytest.approx(
             polygon_moments(arrow).area, rel=1e-12)
 

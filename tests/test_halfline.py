@@ -1,19 +1,16 @@
 """Reduced half-line problem: exact spectrum, FD check, quotients."""
 
 import math
-import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
-from conebounds import (AccuracyWarning, Disc, DomainError, GridSpec,
-                        Polygon, UsageError, cone_quotient_consistency,
+from conebounds import (AccuracyWarning, DomainError, GridSpec, UsageError,
                         default_grid, e_constant, exact_reduced_spectrum,
                         fd_halfline_spectrum, full_gauge, lambda_from_gauge,
                         moments, optimal_transverse_gauge,
                         rayleigh_quotient_1d)
-from conftest import section_nodes
+from conftest import cone_quotient, section_nodes
 
 AXIAL = (0.0, 0.0, 1.0)
 
@@ -219,15 +216,17 @@ class TestRayleighQuotient1d:
 
 
 class TestConeQuotientConsistency:
+    """The solid-cone oracle against the half-line quotient it reduces to."""
+
     def test_unit_disc_adapted_gaussian(self, unit_disc):
         # the lam-adapted Gaussian u = exp(-sqrt(lam) x^2 / 2) is the ground
         # profile, so both quotients sit at the bottom value 3 sqrt(lam)
         lam = 0.125
         s = math.sqrt(lam)
-        three_d, one_d = cone_quotient_consistency(
+        three_d, one_d = cone_quotient(
             lambda x: math.exp(-s * x * x / 2.0),
-            optimal_full_gauge(unit_disc), unit_disc,
-            dphi=lambda x: -s * x * math.exp(-s * x * x / 2.0))
+            lambda x: -s * x * math.exp(-s * x * x / 2.0),
+            optimal_full_gauge(unit_disc), unit_disc)
         assert three_d == pytest.approx(one_d, rel=1e-4)
         assert one_d == pytest.approx(3.0 * math.sqrt(lam), rel=1e-6)
 
@@ -235,66 +234,25 @@ class TestConeQuotientConsistency:
         # exp(-x^2/2) is not the lam=1/8 ground profile; the quotients
         # still agree, at the analytic value
         # (int (1+lam) x^4 e^{-x^2}) / (int x^2 e^{-x^2}) = 27/16
-        three_d, one_d = cone_quotient_consistency(
+        three_d, one_d = cone_quotient(
             lambda x: math.exp(-x * x / 2.0),
-            optimal_full_gauge(unit_disc), unit_disc,
-            dphi=lambda x: -x * math.exp(-x * x / 2.0))
+            lambda x: -x * math.exp(-x * x / 2.0),
+            optimal_full_gauge(unit_disc), unit_disc)
         assert three_d == pytest.approx(one_d, rel=1e-4)
         assert one_d == pytest.approx(27.0 / 16.0, rel=1e-6)
 
     def test_square_symmetric_gauge(self, centered_square):
-        three_d, one_d = cone_quotient_consistency(
+        three_d, one_d = cone_quotient(
             lambda x: math.exp(-x * x / 2.0),
-            optimal_full_gauge(centered_square), centered_square,
-            dphi=lambda x: -x * math.exp(-x * x / 2.0))
+            lambda x: -x * math.exp(-x * x / 2.0),
+            optimal_full_gauge(centered_square), centered_square)
         assert three_d == pytest.approx(one_d, rel=1e-4)
 
     def test_zero_gauge_limit(self, unit_disc):
-        three_d, one_d = cone_quotient_consistency(
-            lambda x: math.exp(-x * x / 2.0), np.zeros((3, 2)), unit_disc,
-            dphi=lambda x: -x * math.exp(-x * x / 2.0))
+        three_d, one_d = cone_quotient(
+            lambda x: math.exp(-x * x / 2.0),
+            lambda x: -x * math.exp(-x * x / 2.0), np.zeros((3, 2)),
+            unit_disc)
         assert three_d == pytest.approx(one_d, rel=1e-4)
         # pure kinetic quotient of the Gaussian under the x^2 weight
         assert one_d == pytest.approx(1.5, rel=1e-6)
-
-    def test_decay_warning_is_the_one_dimensional_rule(self, unit_disc):
-        # exp(-x) at height 12 keeps u^2 x^3 / int u^2 x^2 ~ 2.6e-7 of its
-        # mass past the 1e-8 that rayleigh_quotient_1d allows
-        gauge = optimal_full_gauge(unit_disc)
-        with pytest.warns(AccuracyWarning):
-            cone_quotient_consistency(lambda x: math.exp(-x), gauge,
-                                      unit_disc, truncation=12.0,
-                                      dphi=lambda x: -math.exp(-x))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", AccuracyWarning)
-            cone_quotient_consistency(
-                lambda x: math.exp(-x * x / 2.0), gauge, unit_disc,
-                truncation=12.0, dphi=lambda x: -x * math.exp(-x * x / 2.0))
-
-    def test_many_vertex_polygon_in_bounded_memory(self):
-        # a seeded 64-vertex star polygon has 16384 section nodes; the
-        # gauge at all 160 heights at once would take 143 MB
-        rng = np.random.default_rng(64)
-        ang = 2.0 * np.pi * np.arange(64) / 64 + rng.uniform(0.0, 0.05, 64)
-        rad = rng.uniform(0.4, 1.0, 64)
-        star = Polygon(np.column_stack([rad * np.cos(ang),
-                                        rad * np.sin(ang)]))
-        gauge = full_gauge((0.3, -0.2, 1.0), optimal_transverse_gauge(star))
-        tracemalloc.start()
-        try:
-            three_d, one_d = cone_quotient_consistency(
-                lambda x: math.exp(-x * x / 2.0), gauge, star,
-                dphi=lambda x: -x * math.exp(-x * x / 2.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6
-        # the values of the unblocked evaluation
-        assert three_d == pytest.approx(1.650400871427138, rel=1e-14)
-        assert one_d == pytest.approx(1.650400871427138, rel=1e-14)
-
-    def test_bad_truncation(self, unit_disc):
-        with pytest.raises(DomainError):
-            cone_quotient_consistency(
-                lambda x: math.exp(-x * x), np.zeros((3, 2)), unit_disc,
-                truncation=-1.0)
