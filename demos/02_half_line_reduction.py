@@ -7,21 +7,37 @@ Restricting the quadratic form to functions of the height alone turns the
     lam = ||A0||^2_{L2(w)} / |w|,
 
 whose spectrum is known in closed form: sqrt(lam) (4n - 1). This script
-checks the finite-difference discretization against those values, probes
-the Rayleigh quotient around the exact ground profile, and integrates a
-test profile over the solid cone by quadrature (a 16 x 32 polar rule on
-the disc times 160 Gauss-Legendre heights, written out below) to show
-that it reproduces the 1D quotient.
+checks the finite-difference discretization against those values, shows
+that one finite-difference matrix serves every lam, probes the quotient of
+p[lam] around the exact ground profile, and integrates a test profile over
+the solid cone by quadrature (a 16 x 32 polar rule on the disc times 160
+Gauss-Legendre heights, written out below) to show that it reproduces the
+1D quotient on the same heights.
 """
 
 import math
 
 import numpy as np
 
-from conebounds import (Disc, GridSpec, exact_reduced_spectrum,
-                        fd_halfline_spectrum, full_gauge, lambda_from_gauge,
-                        moments, optimal_transverse_gauge,
-                        rayleigh_quotient_1d)
+from conebounds import (Disc, exact_reduced_spectrum, fd_halfline_spectrum,
+                        full_gauge, lambda_from_gauge, moments,
+                        optimal_transverse_gauge)
+
+
+def heights(lam):
+    """160 Gauss-Legendre heights on (0, 12 lam^(-1/4)), and their weights
+    times the t^2 of the half-line measure."""
+    t_max = 12.0 * lam ** -0.25
+    g, gw = np.polynomial.legendre.leggauss(160)
+    t = 0.5 * t_max * (g + 1.0)
+    return t, 0.5 * t_max * gw * t * t
+
+
+def quotient_1d(phi, dphi, lam, t, jac):
+    """p[lam](phi) / int phi^2 x^2 dx on the heights t with weights jac."""
+    phi_v, dphi_v = np.vectorize(phi)(t), np.vectorize(dphi)(t)
+    return jac @ (dphi_v ** 2 + lam * t * t * phi_v ** 2) / (jac @ phi_v ** 2)
+
 
 # --- lam from the optimal gauge --------------------------------------------
 
@@ -38,27 +54,34 @@ print("n   sqrt(lam)(4n-1)      FD eigenvalue        difference")
 for n, (ev, ef) in enumerate(zip(exact, fd), start=1):
     print(f"{n}   {ev:.12f}   {ef:.12f}   {ef - ev:+.2e}")
 
-# --- observed convergence order ---------------------------------------------
+# --- one matrix serves every lam --------------------------------------------
 
-# Halving the mesh width (n + 1 doubles) should divide the error by 4.
-errs = []
-for n in (600, 1201, 2403):
-    e1 = fd_halfline_spectrum(1.0, grid=GridSpec(12.0, n), n_max=1)[0]
-    errs.append(abs(e1 - 3.0))
-orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
-print(f"ground-state errors under refinement: "
-      f"{', '.join(f'{e:.3e}' for e in errs)}")
-print(f"observed orders: {', '.join(f'{p:.3f}' for p in orders)} (expect 2)")
+# The dilation x -> lam^(1/4) x maps the problem at lam onto sqrt(lam) times
+# the problem at lam = 1, and the three-point matrix on (0, 12 lam^(-1/4))
+# inherits this entry by entry. So the solver assembles one matrix, at
+# lam = 1, and returns sqrt(lam) times its eigenvalues.
+fd1 = fd_halfline_spectrum(1.0, n_max=3)
+print("\nfd(lam) = sqrt(lam) fd(1), from the least subnormal to near "
+      "overflow:")
+for lam_k in (5e-324, 1e-8, 1.0, 1e8, 1.7e308):
+    v = fd_halfline_spectrum(lam_k, n_max=3)
+    ex = exact_reduced_spectrum(lam_k, n_max=3)
+    err = np.max(np.abs(v - ex) / ex)
+    print(f"  lam = {lam_k:8.1e}: E1 = {v[0]:.6e}, bit-equal to "
+          f"sqrt(lam) fd(1): {np.array_equal(v, math.sqrt(lam_k) * fd1)}, "
+          f"max relative error {err:.2e}")
 
-# --- Rayleigh quotients around the ground profile ---------------------------
+# --- quotients around the ground profile -------------------------------------
 
 # The adapted Gaussian exp(-sqrt(lam) x^2 / 2) is the exact minimizer; any
 # width perturbation must raise the quotient above 3 sqrt(lam).
 print(f"\nquotient of width-t Gaussians at lam = 1 (minimum 3 at t = 1):")
-for t in (0.6, 0.8, 1.0, 1.25, 1.6):
-    q = rayleigh_quotient_1d(lambda x: math.exp(-t * x * x / 2.0), 1.0,
-                             du=lambda x: -t * x * math.exp(-t * x * x / 2.0))
-    print(f"  t = {t:4.2f}: quotient = {q:.8f}")
+t1, jac1 = heights(1.0)
+for w in (0.6, 0.8, 1.0, 1.25, 1.6):
+    q = quotient_1d(lambda x: math.exp(-w * x * x / 2.0),
+                    lambda x: -w * x * math.exp(-w * x * x / 2.0),
+                    1.0, t1, jac1)
+    print(f"  t = {w:4.2f}: quotient = {q:.8f}")
 
 # --- solid cone versus half line ---------------------------------------------
 
@@ -71,10 +94,7 @@ ang = 2.0 * np.pi * np.arange(32) / 32
 pts = np.column_stack([np.outer(r, np.cos(ang)).ravel(),
                        np.outer(r, np.sin(ang)).ravel()])
 wts = np.repeat(wr * (2.0 * np.pi / 32), 32)
-t_max = 12.0 * lam ** -0.25
-g, gw = np.polynomial.legendre.leggauss(160)
-t = 0.5 * t_max * (g + 1.0)
-jac = 0.5 * t_max * gw * t * t                    # height weights times t^2
+t, jac = heights(lam)                             # height weights times t^2
 mean_sq = np.array([wts @ np.sum((s * pts @ gauge.T) ** 2, axis=1)
                     for s in t]) / np.sum(wts)    # mean |A|^2 at each height
 for label, phi, dphi in (
@@ -86,6 +106,6 @@ for label, phi, dphi in (
          lambda x: (1.0 - x * x) * math.exp(-x * x / 2.0))):
     phi_v, dphi_v = np.vectorize(phi)(t), np.vectorize(dphi)(t)
     three_d = jac @ (mean_sq * phi_v ** 2 + dphi_v ** 2) / (jac @ phi_v ** 2)
-    one_d = rayleigh_quotient_1d(phi, lam, du=dphi)
+    one_d = quotient_1d(phi, dphi, lam, t, jac)
     print(f"profile {label:15s}: 3D quadrature {three_d:.10f}, "
           f"1D quotient {one_d:.10f}")

@@ -21,9 +21,8 @@ from .geometry import (Disc, Moments, Polygon, Section, centroid,
                        interior_angle, moments, polygon_moments,
                        scale_section, section_from_json, section_to_json,
                        spherical_vertex_opening)
-from .halfline import (GridSpec, default_grid, exact_reduced_spectrum,
-                       fd_halfline_spectrum, lambda_from_gauge,
-                       rayleigh_quotient_1d)
+from .halfline import (exact_reduced_spectrum, fd_halfline_spectrum,
+                       lambda_from_gauge)
 from .models import (ConcentrationThreshold, ConcentrationVerdict,
                      DeGennesResult, EnergyEstimate, TruncatedEdgeReport,
                      concentration_threshold, cylinder_energy, degennes_mu,
@@ -46,9 +45,7 @@ __all__ = [
     "cone_faces", "disc_moments",
     "interior_angle", "moments", "polygon_moments", "scale_section",
     "section_from_json", "section_to_json", "spherical_vertex_opening",
-    "GridSpec", "default_grid",
     "exact_reduced_spectrum", "fd_halfline_spectrum", "lambda_from_gauge",
-    "rayleigh_quotient_1d",
     "ConcentrationThreshold", "ConcentrationVerdict", "DeGennesResult",
     "EnergyEstimate", "TruncatedEdgeReport",
     "concentration_threshold", "cylinder_energy", "degennes_mu",

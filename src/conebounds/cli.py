@@ -36,6 +36,8 @@ energies (``model theta0``, ``model sigma``, ``sweep sigma`` and ``ess``,
 all spectral Rayleigh-Ritz solves) run on numpy alone.  Only the
 finite-difference solver of ``spectrum1d --method fd`` imports scipy, the
 first time it runs, so the wall time of that command includes the import.
+That solver assembles one fixed matrix, at ``lam = 1``, and scales its
+eigenvalues by ``sqrt(lam)``, so it takes no grid options.
 
 Exit codes: 0 success, 2 parse or usage errors, 3 domain errors
 (inadmissible geometry or parameters), 4 accuracy failures (hard accuracy
@@ -64,7 +66,7 @@ from .errors import (AccuracyError, AccuracyWarning, DomainError, SolverError,
 from .gauge import (min_transverse_norm_sq, optimal_transverse_gauge,
                     rayleigh_upper_bounds)
 from .geometry import moments, scale_factor, section_from_json
-from .halfline import GridSpec, exact_reduced_spectrum, fd_halfline_spectrum
+from .halfline import exact_reduced_spectrum, fd_halfline_spectrum
 from .models import (concentration_threshold, essential_spectrum_limit,
                      halfspace_sigma, theta0_detail, truncated_domain_edges)
 from .robin import (BoundaryProfile, robin_cone_upper_bound,
@@ -80,8 +82,6 @@ class RunConfig:
     n_max: int = 3
     lam: float | None = None
     method: str = "exact"
-    x_max: float | None = None
-    n_points: int | None = None
     theta: float | None = None
     alpha: float | None = None
     epsilons: tuple[float, ...] | None = None
@@ -258,20 +258,11 @@ def _gauge(cfg: RunConfig) -> dict:
 
 
 def _spectrum1d(cfg: RunConfig) -> dict:
-    grid = None
-    if cfg.x_max is not None or cfg.n_points is not None:
-        if cfg.method == "exact":
-            raise UsageError("--xmax and --npoints need --method fd")
-        if cfg.x_max is None or cfg.n_points is None:
-            raise UsageError("--xmax and --npoints go together")
-        grid = GridSpec(x_max=cfg.x_max, n=cfg.n_points)
-    if cfg.method == "exact":
-        vals = exact_reduced_spectrum(cfg.lam, n_max=cfg.n_max)
-    else:
-        vals = fd_halfline_spectrum(cfg.lam, grid=grid, n_max=cfg.n_max)
+    exact = cfg.method == "exact"
+    solve = exact_reduced_spectrum if exact else fd_halfline_spectrum
     return {"lam": cfg.lam, "method": cfg.method,
-            "eigenvalues": [float(v) for v in vals],
-            "provenance": ["exact" if cfg.method == "exact" else "FD"]}
+            "eigenvalues": [float(v) for v in solve(cfg.lam, n_max=cfg.n_max)],
+            "provenance": ["exact" if exact else "FD"]}
 
 
 def _theta0(cfg: RunConfig) -> dict:
@@ -371,9 +362,7 @@ COMMANDS: dict[str, Command] = {
         "reduced half-line spectrum",
         (Option("--lam", "lam", type=float, required=True), _N,
          Option("--method", "method", choices=("exact", "fd"),
-                default="exact"),
-         Option("--xmax", "x_max", type=float),
-         Option("--npoints", "n_points", type=int)),
+                default="exact")),
         _spectrum1d),
     "model.theta0": Command("de Gennes constant", (), _theta0,
                             ("Rayleigh-Ritz", "upper-bound")),

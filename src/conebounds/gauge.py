@@ -178,7 +178,7 @@ def rayleigh_upper_bounds(field, m: Moments | Section, n_max: int = 3) -> BoundR
 
 
 #: Valid kinds for :func:`reference_asymptotics`.
-ASYMPTOTIC_KINDS = ("sector", "wedge", "circularCone", "circularConeNth")
+ASYMPTOTIC_KINDS = ("sector", "circularCone", "circularConeNth")
 
 
 def reference_asymptotics(kind: str, alpha: float, *, beta: float = 0.0,
@@ -186,8 +186,8 @@ def reference_asymptotics(kind: str, alpha: float, *, beta: float = 0.0,
     """Leading small-opening term of the reference geometries.
 
     ``sector``           plane sector of opening alpha:    |B| alpha / sqrt(3)
-    ``wedge``            wedge of opening alpha (field in the bisector plane
-                         or tangent to a face):            |B| alpha / sqrt(3)
+                         (the wedge of opening alpha has the same leading
+                         term: ``models.wedge_energy_upper``)
     ``circularCone``     circular cone of opening alpha, field at latitude
                          beta from the axis plane:
                          |B| sqrt(1 + sin^2 beta) * 3 alpha / 2^(5/2)
@@ -202,7 +202,7 @@ def reference_asymptotics(kind: str, alpha: float, *, beta: float = 0.0,
     bn = float(field_norm)
     if bn < 0.0 or not math.isfinite(bn):
         raise DomainError("field norm must be nonnegative")
-    if kind in ("sector", "wedge"):
+    if kind == "sector":
         return bn * a / math.sqrt(3.0)
     k = int(n)
     if kind == "circularCone":

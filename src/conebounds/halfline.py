@@ -13,54 +13,25 @@ exactly ``sqrt(lam) * (4n - 1)``, all eigenvalues simple.  With the optimal
 gauge, ``lam = e(B, w)^2``, which is where the ``(4n - 1) e`` bounds come
 from.
 
-The module provides the exact spectrum, a second-order finite difference
-check on a truncated interval, and the quotient of ``p[lam]`` on trial
-profiles by Simpson's rule.  For a linear gauge the 3D quotient of a
-height profile equals this 1D quotient by algebra; the solid-cone
-quadrature that checks it numerically lives with the tests
-(``tests/conftest.py::cone_quotient``).
+The module provides the exact spectrum and a second-order finite
+difference check of it.  The dilation ``x -> lam^(1/4) x`` maps ``p[lam]``
+onto ``sqrt(lam)`` times ``p[1]``, so the check solves once, at
+``lam = 1``, and scales.  For a linear gauge the 3D quotient of a height
+profile equals the quotient of ``p[lam]`` by algebra; the solid-cone
+quadrature that checks it numerically and the Simpson quotient of trial
+profiles live with the tests (``tests/conftest.py::cone_quotient`` and
+``rayleigh_quotient_1d``).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError, SolverError, UsageError
 from .geometry import Moments, Section, moments
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid for the truncated half-line ``(0, x_max)``.
-
-    ``n`` counts the interior points for the finite-difference solver, and
-    the Simpson intervals (rounded up to even) for
-    :func:`rayleigh_quotient_1d`.  The spacing ``x_max / (n + 1)`` must
-    square to a positive finite number.
-    """
-
-    x_max: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if not (self.x_max > 0.0) or not math.isfinite(self.x_max):
-            raise UsageError("x_max must be positive")
-        if int(self.n) < 16:
-            raise UsageError("grid needs at least 16 interior points")
-        h = self.x_max / (int(self.n) + 1)
-        if not (0.0 < h * h < math.inf):
-            raise UsageError("grid spacing squared underflows or overflows")
-
-
-def default_grid(lam: float) -> GridSpec:
-    """Truncation scales with the oscillator length: ``x_max = 12 lam^(-1/4)``."""
-    if not (lam > 0.0):
-        raise DomainError("lam must be positive")
-    return GridSpec(x_max=12.0 * lam ** -0.25, n=4000)
 
 
 def _as_gauge_matrix(gauge) -> np.ndarray:
@@ -99,15 +70,19 @@ def exact_reduced_spectrum(lam: float, n_max: int = 3) -> np.ndarray:
     return math.sqrt(lam) * (4.0 * n - 1.0)
 
 
-def fd_halfline_spectrum(lam: float, grid: GridSpec | None = None,
-                         n_max: int = 3) -> np.ndarray:
+def fd_halfline_spectrum(lam: float, n_max: int = 3) -> np.ndarray:
     """Low eigenvalues of ``-U'' + lam x^2 U``, ``U(0) = 0``, by finite differences.
 
-    Second-order three-point scheme on ``n`` interior points of
-    ``(0, x_max)`` with Dirichlet truncation at ``x_max`` (the eigenfunctions
-    decay like a Gaussian there, so the truncation error is far below the
-    scheme error).  Emits :class:`AccuracyWarning` when the lowest eigenvalue
-    strays more than 10 percent from its exact value.
+    The dilation ``x -> lam^(1/4) x`` maps the problem at ``lam`` onto
+    ``sqrt(lam)`` times the problem at ``lam = 1``, and the three-point
+    matrix on ``(0, 12 lam^(-1/4))`` inherits this entry by entry.  So the
+    matrix is assembled once, at ``lam = 1``: second-order three-point
+    scheme on 4000 interior points of ``(0, 12)`` with Dirichlet truncation
+    at 12 (the eigenfunctions decay like a Gaussian there, so the
+    truncation error is far below the scheme error).  Its eigenvalues,
+    times ``sqrt(lam)``, are returned, which holds for every positive
+    finite ``lam``.  Emits :class:`AccuracyWarning` when the lowest
+    ``lam = 1`` eigenvalue strays more than 10 percent from 3.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -115,15 +90,12 @@ def fd_halfline_spectrum(lam: float, grid: GridSpec | None = None,
         raise DomainError("lam must be positive")
     if int(n_max) < 1:
         raise UsageError("n_max must be at least 1")
-    g = grid if grid is not None else default_grid(lam)
-    n = int(g.n)
+    n = 4000
     if int(n_max) > n:
         raise UsageError("n_max exceeds the grid's interior points")
-    h = g.x_max / (n + 1)
+    h = 12.0 / (n + 1)
     x = h * np.arange(1, n + 1)
-    diag = np.full(n, 2.0 / h ** 2) + lam * x * x
-    if not math.isfinite(diag[-1]):  # the largest entry
-        raise UsageError("finite-difference matrix overflows on this grid")
+    diag = np.full(n, 2.0 / h ** 2) + x * x
     off = np.full(n - 1, -1.0 / h ** 2)
     try:
         vals = eigh_tridiagonal(diag, off, select="i",
@@ -131,50 +103,7 @@ def fd_halfline_spectrum(lam: float, grid: GridSpec | None = None,
                                 eigvals_only=True)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"half-line eigensolve failed: {exc}") from exc
-    exact1 = 3.0 * math.sqrt(lam)
-    if abs(vals[0] - exact1) / exact1 > 0.1:
+    if abs(vals[0] - 3.0) / 3.0 > 0.1:
         warnings.warn("grid too coarse for the reduced spectrum",
                       AccuracyWarning, stacklevel=2)
-    return vals
-
-
-
-
-def rayleigh_quotient_1d(u, lam: float, grid: GridSpec | None = None,
-                         du=None) -> float:
-    """Quotient ``p[lam](u) / int |u|^2 x^2 dx`` for a trial profile.
-
-    ``u`` is a callable on ``[0, x_max]``; its derivative is ``du`` when
-    given, otherwise the difference quotient of ``u`` over
-    ``[x - h, x + h]``, ``h = 1e-6 x_max / 12``, with the lower end cut at 0
-    so that ``u`` is only sampled on the half-line.  Integrals use composite
-    Simpson on the grid's nodes.  Warns when ``u`` has not decayed at
-    ``x_max`` (``u^2 x^3`` there above ``1e-8`` times the denominator).  The
-    quotient of any admissible nonzero trial is at least the ground value
-    ``3 sqrt(lam)``.
-    """
-    if not (lam >= 0.0) or not math.isfinite(lam):
-        raise DomainError("lam must be nonnegative")
-    g = grid if grid is not None else default_grid(lam if lam > 0.0 else 1.0)
-    n = int(g.n) + int(g.n) % 2  # Simpson needs an even interval count
-    x = np.linspace(0.0, g.x_max, n + 1)
-    w = np.where(np.arange(n + 1) % 2, 4.0, 2.0) * (x[1] / 3.0)
-    w[0] = w[-1] = x[1] / 3.0
-
-    uv = np.fromiter(map(u, x), float)
-    if du is not None:
-        dv = np.fromiter(map(du, x), float)
-    else:
-        h = 1e-6 * g.x_max / 12.0
-        lo, hi = np.maximum(x - h, 0.0), x + h
-        dv = (np.fromiter(map(u, hi), float)
-              - np.fromiter(map(u, lo), float)) / (hi - lo)
-    x2 = x * x
-    den = float(w @ (uv * uv * x2))
-    if den < 1e-300:
-        raise DomainError("trial function vanishes in the weighted norm")
-    tail = abs(uv[-1]) * x[-1]
-    if tail * tail * x[-1] > 1e-8 * den:
-        warnings.warn("trial function has not decayed at x_max",
-                      AccuracyWarning, stacklevel=2)
-    return float(w @ ((dv * dv + lam * x2 * uv * uv) * x2)) / den
+    return math.sqrt(lam) * vals

@@ -15,9 +15,10 @@ faces, wedges along the edges.  The corresponding scalar model energies
   (Lu-Pan 2000),
 * wedge of opening ``alpha``: no closed form; a trusted caller-supplied
   floor ``c_floor`` is used from below and the small-opening upper bound
-  ``|B| alpha / sqrt(3)`` (:func:`wedge_energy_upper`, the ``wedge`` kind
-  of :func:`~conebounds.gauge.reference_asymptotics`) from above, valid
-  for fields in the bisector plane or tangent to a face.
+  ``|B| alpha / sqrt(3)`` (:func:`wedge_energy_upper`, the same leading
+  term as the ``sector`` kind of
+  :func:`~conebounds.gauge.reference_asymptotics`) from above, valid for
+  fields in the bisector plane or tangent to a face.
 
 Combining the three classes gives two-sided estimates
 (:class:`EnergyEstimate`: ``source``, ``lower``, ``upper``) for the
@@ -47,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, SolverError, UsageError
-from .gauge import MagneticField, e_constant, reference_asymptotics
+from .gauge import MagneticField, e_constant
 from .geometry import Polygon, Section, _edge_openings, cone_faces, moments
 
 
@@ -310,13 +311,15 @@ def wedge_energy_upper(alpha: float, field_norm: float = 1.0) -> float:
     """Leading-order upper bound ``|B| alpha / sqrt(3)`` for a wedge.
 
     Valid for fields lying in the bisector plane or tangent to a face of
-    the wedge; cubic corrections in the opening are dropped.  The value is
-    :func:`~conebounds.gauge.reference_asymptotics` of kind ``wedge``.
+    the wedge; cubic corrections in the opening are dropped.
     """
     a = float(alpha)
     if not (0.0 < a < 2.0 * math.pi):
         raise DomainError("wedge opening must lie in (0, 2*pi)")
-    return reference_asymptotics("wedge", a, field_norm=field_norm)
+    bn = float(field_norm)
+    if bn < 0.0 or not math.isfinite(bn):
+        raise DomainError("field norm must be nonnegative")
+    return bn * a / math.sqrt(3.0)
 
 
 #: How the face and wedge channels of the two-sided estimates are obtained.

@@ -6,11 +6,15 @@ scratch (triangle fan for polygons, polar grid for discs), so closed-form
 moment code is cross-checked against an independent route;
 ``cone_quotient`` integrates a height profile's magnetic quotient over the
 solid cone with the same section rules, the check of the half-line
-reduction that the library states by algebra; the optimal
-gauge is recomputed from finite differences of its quadratic objective;
-the half-plane energy ``sigma(theta)`` is cross-checked by finite
-differences against the library's spectral Rayleigh-Ritz solve, and so
-is the de Gennes band ``mu(xi)`` (``fd_degennes_mu``);
+reduction that the library states by algebra; ``rayleigh_quotient_1d``
+is the Simpson quotient of a trial profile on an explicit grid, and
+``fd_halfline_eigs`` assembles the three-point half-line matrix for any
+``lam`` and grid, the reference for the library's one matrix at
+``lam = 1``; the optimal gauge is recomputed from finite differences of
+its quadratic objective; the half-plane energy ``sigma(theta)`` is
+cross-checked by finite differences against the library's spectral
+Rayleigh-Ritz solve, and so is the de Gennes band ``mu(xi)``
+(``fd_degennes_mu``);
 ``per_face_channel_ends`` solves ``sigma`` on every face of a cone and
 takes the least channel, the reference for the library's estimate, which
 solves once, at the least face angle; the
@@ -26,15 +30,16 @@ value, the reference for the one-pass writer of ``cli.dumps_report``.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from conebounds import (Disc, DomainError, GeometryError, MagneticField,
-                        Moments, Polygon, TransverseGauge, UsageError, centroid,
-                        halfspace_sigma, lambda_from_gauge, moments,
-                        wedge_energy_upper)
+from conebounds import (AccuracyWarning, Disc, DomainError, GeometryError,
+                        MagneticField, Moments, Polygon, TransverseGauge,
+                        UsageError, centroid, halfspace_sigma,
+                        lambda_from_gauge, moments, wedge_energy_upper)
 from conebounds.geometry import cone_edge_openings, cone_faces
 
 
@@ -126,6 +131,68 @@ def cone_quotient(phi, dphi, gauge, section):
     three_d = jac @ (gauge_sq * phi_v ** 2 + area * dphi_v ** 2) / (area * den)
     one_d = jac @ (dphi_v ** 2 + lam * t * t * phi_v ** 2) / den
     return float(three_d), float(one_d)
+
+
+# ---------------------------------------------------------------------------
+# the half-line form on an explicit grid (the library solves on one grid)
+
+def rayleigh_quotient_1d(u, lam, x_max, n, du=None):
+    """Quotient ``p[lam](u) / int |u|^2 x^2 dx`` for a trial profile.
+
+    ``u`` is a callable on ``[0, x_max]``; its derivative is ``du`` when
+    given, otherwise the difference quotient of ``u`` over
+    ``[x - h, x + h]``, ``h = 1e-6 x_max / 12``, with the lower end cut at 0
+    so that ``u`` is only sampled on the half-line.  Integrals use composite
+    Simpson on ``n`` intervals of ``[0, x_max]`` (rounded up to even).
+    Warns when ``u`` has not decayed at ``x_max`` (``u^2 x^3`` there above
+    ``1e-8`` times the denominator).  The quotient of any admissible
+    nonzero trial is at least the ground value ``3 sqrt(lam)``.
+    """
+    if not (lam >= 0.0) or not math.isfinite(lam):
+        raise DomainError("lam must be nonnegative")
+    m = int(n) + int(n) % 2
+    x = np.linspace(0.0, x_max, m + 1)
+    w = np.where(np.arange(m + 1) % 2, 4.0, 2.0) * (x[1] / 3.0)
+    w[0] = w[-1] = x[1] / 3.0
+
+    uv = np.fromiter(map(u, x), float)
+    if du is not None:
+        dv = np.fromiter(map(du, x), float)
+    else:
+        h = 1e-6 * x_max / 12.0
+        lo, hi = np.maximum(x - h, 0.0), x + h
+        dv = (np.fromiter(map(u, hi), float)
+              - np.fromiter(map(u, lo), float)) / (hi - lo)
+    x2 = x * x
+    den = float(w @ (uv * uv * x2))
+    if den < 1e-300:
+        raise DomainError(
+            f"trial function vanishes on the grid x_max = {x_max:g}, "
+            f"n = {n}: the grid does not resolve the profile")
+    tail = abs(uv[-1]) * x[-1]
+    if tail * tail * x[-1] > 1e-8 * den:
+        warnings.warn("trial function has not decayed at x_max",
+                      AccuracyWarning, stacklevel=2)
+    return float(w @ ((dv * dv + lam * x2 * uv * uv) * x2)) / den
+
+
+def fd_halfline_eigs(lam, x_max, n, n_max=1):
+    """Low eigenvalues of ``-U'' + lam x^2 U``, ``U(0) = 0``, on ``(0, x_max)``
+    by finite differences.
+
+    The three-point matrix on ``n`` interior points with Dirichlet
+    truncation at ``x_max``, assembled for the given ``lam`` and grid.  At
+    ``lam = 1`` on ``(12, 4000)`` it is the library's one matrix, so the
+    refinement order seen here on other grids speaks for that matrix.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    h = x_max / (n + 1)
+    x = h * np.arange(1, n + 1)
+    diag = np.full(n, 2.0 / h ** 2) + lam * x * x
+    off = np.full(n - 1, -1.0 / h ** 2)
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, n_max - 1),
+                            eigvals_only=True)
 
 
 # ---------------------------------------------------------------------------

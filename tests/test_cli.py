@@ -6,8 +6,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from conebounds import (cli, models, rayleigh_upper_bounds, scale_section,
                         section_from_json, theta0)
 from conebounds.cli import (COMMANDS, RunConfig, build_parser, dumps_report,
                             emit_plot_data, run, run_config)
-from conebounds.errors import UsageError
+from conebounds.errors import AccuracyWarning, UsageError
 from conftest import reference_dumps_report
 
 DISC_DOC = {"disc": {"center": [0.0, 0.0], "radius": 1.0}}
@@ -360,65 +362,67 @@ class TestExitCodes:
             "kind": "domain",
             "message": "axis must lie strictly inside the disc"}
 
-    def test_fd_flags_must_pair(self, capsys):
-        code, report = run_cli(capsys, ["spectrum1d", "--lam", "1",
-                                        "--method", "fd", "--xmax", "6"])
-        assert code == 2
-        assert report["error"]["kind"] == "parse"
-
-    @pytest.mark.parametrize("grid", [["--xmax", "3", "--npoints", "100"],
-                                      ["--xmax", "3"], ["--npoints", "100"]])
-    def test_grid_flags_need_fd(self, capsys, grid):
-        # the exact spectrum uses no grid, so the flags would be ignored
-        code, report = run_cli(capsys, ["spectrum1d", "--lam", "1", *grid])
-        assert code == 2
-        assert report["error"] == {"kind": "parse", "message":
-                                   "--xmax and --npoints need --method fd"}
-
     @pytest.mark.parametrize("args, code, kind", [
-        (["--lam", "1", "--xmax", "1e-300", "--npoints", "16"], 2, "parse"),
-        (["--lam", "1", "--xmax", "1e200", "--npoints", "16"], 2, "parse"),
-        (["--lam", "1e300"], 4, "accuracy"),
-        (["--lam", "1", "--n", "5000", "--xmax", "12", "--npoints", "100"],
-         2, "parse"),
-        (["--lam", "1", "--xmax", "1e-160", "--npoints", "16"], 2, "parse"),
-        (["--lam", "1e300", "--xmax", "1e10", "--npoints", "16"], 2, "parse"),
-    ], ids=["spacing-underflow", "spacing-overflow", "solver-failure",
-            "n-above-grid", "inverse-square-overflow", "potential-overflow"])
+        (["--lam", "1", "--n", "5000"], 2, "parse"),
+        (["--lam", "-1"], 3, "domain"),
+    ], ids=["n-above-grid", "lam-not-positive"])
     def test_fd_failures_are_error_reports(self, capsys, args, code, kind):
-        # a grid whose spacing cannot be squared, a tridiagonal eigensolve
-        # that does not converge, more eigenvalues than grid points, and
-        # matrix entries 2 / h^2 or lam x^2 past the float range
+        # more eigenvalues than grid points, and a lam outside (0, inf)
         got, report = run_cli(capsys, ["spectrum1d", "--method", "fd", *args])
         assert (got, report["error"]["kind"]) == (code, kind)
 
-    def test_coarse_fd_warns_without_strict(self, capsys):
-        args = ["spectrum1d", "--lam", "1", "--method", "fd",
-                "--xmax", "1.5", "--npoints", "100"]
+    @pytest.mark.parametrize("lam", ["5e-324", "1e-320", "1e-8", "1", "1e8",
+                                     "1e299", "1e300", "1.7e308"])
+    def test_fd_at_extreme_lam_succeeds_without_warnings(self, capsys, lam):
+        # one lam = 1 solve, scaled by sqrt(lam): no grid to under- or
+        # overflow, no eigensolve at a lam-dependent scale
+        code, report = run_cli(capsys, ["spectrum1d", "--lam", lam,
+                                        "--method", "fd"])
+        assert code == 0
+        assert report["warnings"] == []
+        vals = np.array(report["result"]["eigenvalues"])
+        exact = math.sqrt(float(lam)) * np.array([3.0, 7.0, 11.0])
+        assert np.all(np.abs(vals - exact) <= 1e-5 * exact)
+
+    def test_grid_flags_are_unknown_options(self, capsys):
+        assert run(["spectrum1d", "--lam", "1", "--method", "fd",
+                    "--xmax", "6"]) == 2
+        assert "unrecognized arguments: --xmax" in capsys.readouterr().err
+
+    @pytest.fixture
+    def warning_fd(self, monkeypatch):
+        # no spectrum1d input makes the solver warn, so stand in one that
+        # does, to exercise the strict-mode plumbing
+        def fd(lam, n_max=3):
+            warnings.warn("grid too coarse for the reduced spectrum",
+                          AccuracyWarning)
+            return [3.0] * n_max
+
+        monkeypatch.setattr(cli, "fd_halfline_spectrum", fd)
+
+    def test_coarse_fd_warns_without_strict(self, capsys, warning_fd):
+        args = ["spectrum1d", "--lam", "1", "--method", "fd"]
         code, report = run_cli(capsys, args)
         assert code == 0
         assert report["warnings"]
         assert "eigenvalues" in report["result"]
 
-    def test_coarse_fd_fails_under_strict(self, capsys):
+    def test_coarse_fd_fails_under_strict(self, capsys, warning_fd):
         code, report = run_cli(capsys, ["spectrum1d", "--lam", "1",
-                                        "--method", "fd", "--xmax", "1.5",
-                                        "--npoints", "100", "--strict"])
+                                        "--method", "fd", "--strict"])
         assert code == 4
         assert report["warnings"]
 
-    def test_strict_env_var(self, capsys, monkeypatch):
+    def test_strict_env_var(self, capsys, monkeypatch, warning_fd):
         monkeypatch.setenv("CONEBOUNDS_STRICT", "1")
         code, report = run_cli(capsys, ["spectrum1d", "--lam", "1",
-                                        "--method", "fd", "--xmax", "1.5",
-                                        "--npoints", "100"])
+                                        "--method", "fd"])
         assert code == 4
         assert report["warnings"]
 
 
 class TestOptionPlacement:
-    FD_ARGS = ["spectrum1d", "--lam", "1", "--method", "fd",
-               "--xmax", "1.5", "--npoints", "100"]
+    FD_ARGS = ["spectrum1d", "--lam", "1", "--method", "fd"]
 
     def test_strict_before_the_subcommand_is_rejected(self, capsys):
         assert run(["--strict", *self.FD_ARGS]) == 2
@@ -693,6 +697,20 @@ class TestReadme:
         names = [argv[0] if argv[0] in COMMANDS else ".".join(argv[:2])
                  for argv in readme_cli_examples()]
         assert sorted(names) == sorted(COMMANDS)
+
+    def test_documented_flags_are_the_table_flags(self):
+        # every option is documented, and nothing else but --seed, which
+        # is documented as absent
+        readme = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"--[a-z][a-z-]*", section))
+        flags = {opt.flag for cmd in COMMANDS.values()
+                 for opt in cli._options(cmd)}
+        assert "--seed" not in flags
+        assert documented - {"--seed"} == flags
 
 
 class TestReportWriter:

@@ -1,18 +1,20 @@
 """Reduced half-line problem: exact spectrum, FD check, quotients."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conebounds import (AccuracyWarning, DomainError, GridSpec, UsageError,
-                        default_grid, e_constant, exact_reduced_spectrum,
+from conebounds import (AccuracyWarning, DomainError, SolverError,
+                        UsageError, e_constant, exact_reduced_spectrum,
                         fd_halfline_spectrum, full_gauge, lambda_from_gauge,
-                        moments, optimal_transverse_gauge,
-                        rayleigh_quotient_1d)
-from conftest import cone_quotient, section_nodes
+                        moments, optimal_transverse_gauge)
+from conftest import (cone_quotient, fd_halfline_eigs, rayleigh_quotient_1d,
+                      section_nodes)
 
 AXIAL = (0.0, 0.0, 1.0)
+GRID = (12.0, 4000)
 
 
 def optimal_full_gauge(section):
@@ -89,24 +91,34 @@ class TestExactSpectrum:
             exact_reduced_spectrum(1.0, 0)
 
 
+#: Values of ``lam`` from the least subnormal to near the float maximum.
+EXTREME_LAMS = [5e-324, 1e-320, 1e-8, 1.0, 1e8, 1e299, 1e300, 1.7e308]
+
+
 class TestFdSpectrum:
     def test_unit_lambda_reference_grid(self):
-        vals = fd_halfline_spectrum(1.0, GridSpec(12.0, 4000), n_max=3)
+        vals = fd_halfline_spectrum(1.0, n_max=3)
         assert abs(vals[0] - 3.0) < 1e-3
         assert abs(vals[1] - 7.0) < 1e-3
         assert abs(vals[2] - 11.0) < 5e-3
 
+    def test_library_matrix_is_the_reference_assembly(self):
+        # the one matrix the library solves is the tests-side assembly at
+        # lam = 1 on 4000 interior points of (0, 12), bit for bit
+        assert np.array_equal(fd_halfline_spectrum(1.0, 3),
+                              fd_halfline_eigs(1.0, 12.0, 4000, 3))
+
     def test_unitary_scaling_exact_on_matched_grids(self):
         # lam=16 on [0,6] is unitarily the lam=1 problem on [0,12]:
         # the FD matrices match entrywise up to the factor 4
-        v16 = fd_halfline_spectrum(16.0, GridSpec(6.0, 4000), n_max=3)
-        v1 = fd_halfline_spectrum(1.0, GridSpec(12.0, 4000), n_max=3)
+        v16 = fd_halfline_eigs(16.0, 6.0, 4000, 3)
+        v1 = fd_halfline_spectrum(1.0, n_max=3)
         assert np.allclose(v16, 4.0 * v1, rtol=1e-9)
         assert np.allclose(v16, [12.0, 28.0, 44.0], rtol=2e-3)
 
     def test_second_order_convergence(self):
         # n chosen so h halves exactly: 12/601, 12/1202, 12/2404
-        errs = [abs(fd_halfline_spectrum(1.0, GridSpec(12.0, n), 1)[0] - 3.0)
+        errs = [abs(fd_halfline_eigs(1.0, 12.0, n)[0] - 3.0)
                 for n in (600, 1201, 2403)]
         for coarse, fine in zip(errs, errs[1:]):
             assert 3.5 <= coarse / fine <= 4.5
@@ -117,58 +129,79 @@ class TestFdSpectrum:
             gaps = np.diff(vals)
             assert np.all(gaps >= 3.9 * math.sqrt(lam))
 
-    def test_coarse_grid_warns(self):
+    def test_a_stray_ground_value_warns(self, monkeypatch):
+        import scipy.linalg
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                            lambda *a, **k: np.array([3.5]))
         with pytest.warns(AccuracyWarning):
-            fd_halfline_spectrum(1.0, GridSpec(1.5, 100), n_max=1)
+            fd_halfline_spectrum(1.0, n_max=1)
+
+    def test_a_failed_eigensolve_is_a_solver_error(self, monkeypatch):
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        with pytest.raises(SolverError, match="no convergence"):
+            fd_halfline_spectrum(1.0)
 
     def test_good_grid_does_not_warn(self, recwarn):
         fd_halfline_spectrum(1.0, n_max=1)
         assert not [w for w in recwarn.list
                     if issubclass(w.category, AccuracyWarning)]
 
-    def test_default_grid(self):
-        g = default_grid(16.0)
-        assert g.x_max == pytest.approx(6.0, rel=1e-15)
-        assert g.n == 4000
-        with pytest.raises(DomainError):
-            default_grid(0.0)
+    @pytest.mark.parametrize("lam", EXTREME_LAMS)
+    def test_scaling_identity_at_extreme_lam(self, lam, recwarn):
+        vals = fd_halfline_spectrum(lam, 3)
+        assert np.array_equal(vals,
+                              math.sqrt(lam) * fd_halfline_spectrum(1.0, 3))
+        exact = exact_reduced_spectrum(lam, 3)
+        assert np.all(np.abs(vals - exact) <= 1e-5 * exact)
+        assert not [w for w in recwarn.list
+                    if issubclass(w.category, AccuracyWarning)]
 
     def test_errors(self):
         with pytest.raises(DomainError):
             fd_halfline_spectrum(-1.0)
+        with pytest.raises(DomainError):
+            fd_halfline_spectrum(math.inf)
         with pytest.raises(UsageError):
             fd_halfline_spectrum(1.0, n_max=0)
         with pytest.raises(UsageError):
-            GridSpec(0.0, 100)
-        with pytest.raises(UsageError):
-            GridSpec(10.0, 8)
+            fd_halfline_spectrum(1.0, n_max=4001)
 
 
 class TestRayleighQuotient1d:
+    """The Simpson quotient oracle of ``conftest``; ``GRID`` is the
+    ``lam = 1`` grid of the library's finite-difference matrix."""
+
     def test_gaussian_ground_state(self):
         # u = exp(-x^2/2) makes U = x u the first odd Hermite function
         val = rayleigh_quotient_1d(lambda x: math.exp(-x * x / 2.0), 1.0,
+                                   *GRID,
                                    du=lambda x: -x * math.exp(-x * x / 2.0))
         assert val == pytest.approx(3.0, abs=1e-6)
 
     def test_gaussian_with_stencil_derivative(self):
-        val = rayleigh_quotient_1d(lambda x: math.exp(-x * x / 2.0), 1.0)
+        val = rayleigh_quotient_1d(lambda x: math.exp(-x * x / 2.0), 1.0,
+                                   *GRID)
         assert val == pytest.approx(3.0, abs=1e-6)
 
     def test_exponential_is_above_ground(self):
         with pytest.warns(AccuracyWarning):
             # exp(-x) has only decayed to ~6e-6 at the default truncation,
             # which the tail check flags; the quotient is still valid
-            val = rayleigh_quotient_1d(lambda x: math.exp(-x), 1.0)
+            val = rayleigh_quotient_1d(lambda x: math.exp(-x), 1.0, *GRID)
         assert val > 3.0
-        val = rayleigh_quotient_1d(lambda x: math.exp(-x), 1.0,
-                                   grid=GridSpec(25.0, 5000))
+        val = rayleigh_quotient_1d(lambda x: math.exp(-x), 1.0, 25.0, 5000)
         assert val > 3.0
 
     def test_width_scan_minimized_at_one(self):
         def quotient(t):
             return rayleigh_quotient_1d(
-                lambda x: math.exp(-t * x * x / 2.0), 1.0,
+                lambda x: math.exp(-t * x * x / 2.0), 1.0, *GRID,
                 du=lambda x: -t * x * math.exp(-t * x * x / 2.0))
 
         ts = [0.5, 0.75, 1.0, 1.3, 1.7]
@@ -189,7 +222,8 @@ class TestRayleighQuotient1d:
             def u(x, a=a, b=b, c=c, s=s):
                 return (a + b * x + c * x * x) * math.exp(-s * x * x / 2.0)
 
-            assert rayleigh_quotient_1d(u, lam) >= floor
+            assert rayleigh_quotient_1d(u, lam, 12.0 * lam ** -0.25,
+                                        4000) >= floor
 
     @pytest.mark.parametrize("a, b, c, s", [
         (1.0, 0.0, 0.0, 0.5), (1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.7),
@@ -203,16 +237,28 @@ class TestRayleighQuotient1d:
             return (b + 2.0 * c * x - s * x * (a + b * x + c * x * x)) \
                 * math.exp(-s * x * x / 2.0)
 
-        exact = rayleigh_quotient_1d(u, 1.0, du=du)
-        assert rayleigh_quotient_1d(u, 1.0) == pytest.approx(exact, rel=1e-9)
+        exact = rayleigh_quotient_1d(u, 1.0, *GRID, du=du)
+        assert rayleigh_quotient_1d(u, 1.0, *GRID) == pytest.approx(exact,
+                                                                    rel=1e-9)
 
     def test_zero_function_rejected(self):
         with pytest.raises(DomainError):
-            rayleigh_quotient_1d(lambda x: 0.0, 1.0)
+            rayleigh_quotient_1d(lambda x: 0.0, 1.0, *GRID)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(DomainError):
-            rayleigh_quotient_1d(lambda x: math.exp(-x * x), -1.0)
+            rayleigh_quotient_1d(lambda x: math.exp(-x * x), -1.0, *GRID)
+
+    @pytest.mark.parametrize("grid", [(12.0 * 1e-300 ** -0.25, 4000),
+                                      (1e150, 16), (1e-150, 16)])
+    def test_unresolved_profile_names_the_grid(self, grid):
+        # every node but x = 0, where the weight x^2 vanishes, reads the
+        # profile as 0.0: the grid, not the profile, is at fault
+        x_max, n = grid
+        with pytest.raises(DomainError, match=re.escape(
+                f"x_max = {x_max:g}, n = {n}: the grid does not resolve")):
+            rayleigh_quotient_1d(lambda x: math.exp(-x * x / 2.0), 1e-300,
+                                 x_max, n)
 
 
 class TestConeQuotientConsistency:
