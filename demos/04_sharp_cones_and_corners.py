@@ -3,8 +3,8 @@
 Shrinking the section w_eps = eps * w makes the bound e(B, w_eps) =
 eps * e(B, w) vanish linearly while the bottom of the essential spectrum
 converges to the value of the reference cylinder over w. As soon as
-3 eps e(B, w) drops below the certified floor of the essential spectrum,
-the lowest Rayleigh quotients are genuine discrete eigenvalues with
+3 eps e(B, w) drops below a floor of the essential spectrum, the lowest
+Rayleigh quotients are genuine discrete eigenvalues with
 eigenfunctions concentrating at the cone tip. This script computes the
 two-sided cylinder estimate, tracks the cone estimates along an eps
 ladder, solves for the concentration threshold eps*, and reports the
@@ -24,8 +24,8 @@ FIELD = (0.0, 0.0, 1.0)
 
 cyl = cylinder_energy(FIELD, SQUARE, c_floor=0.5)
 print(f"cylinder over the square, axial unit field:")
-print(f"  lower bound {cyl.lower:.6f} (certified floor), "
-      f"upper bound {cyl.upper:.6f} ({cyl.source})")
+print(f"  lower end {cyl.lower:.6f} (sigma and the caller's floor, not a "
+      f"proven bound),\n  upper bound {cyl.upper:.6f} ({cyl.source})")
 
 # --- essential estimates along the eps ladder --------------------------------
 

@@ -17,8 +17,7 @@ from .gauge import (BoundResult, MagneticField, TransverseGauge, e_constant,
                     optimal_transverse_gauge, rayleigh_upper_bounds,
                     reference_asymptotics)
 from .geometry import (Disc, Moments, Polygon, Section, centroid,
-                       cone_edge_openings, cone_faces, disc_moments,
-                       interior_angle, moments, polygon_moments,
+                       cone_faces, disc_moments, moments, polygon_moments,
                        scale_section, section_from_json, section_to_json,
                        spherical_vertex_opening)
 from .halfline import (exact_reduced_spectrum, fd_halfline_spectrum,
@@ -27,8 +26,7 @@ from .models import (ConcentrationThreshold, ConcentrationVerdict,
                      DeGennesResult, EnergyEstimate, TruncatedEdgeReport,
                      concentration_threshold, cylinder_energy, degennes_mu,
                      essential_spectrum_limit, halfspace_sigma, theta0,
-                     theta0_detail, truncated_domain_edges,
-                     wedge_energy_upper)
+                     theta0_detail, truncated_domain_edges)
 from .robin import (BoundaryProfile, robin_best_axis_bound,
                     robin_cone_upper_bound, robin_model_energy,
                     robin_scaling_exponent)
@@ -41,16 +39,15 @@ __all__ = [
     "BoundResult", "MagneticField", "TransverseGauge", "e_constant",
     "full_gauge", "min_transverse_norm_sq", "optimal_transverse_gauge",
     "rayleigh_upper_bounds", "reference_asymptotics",
-    "Disc", "Moments", "Polygon", "Section", "centroid", "cone_edge_openings",
-    "cone_faces", "disc_moments",
-    "interior_angle", "moments", "polygon_moments", "scale_section",
+    "Disc", "Moments", "Polygon", "Section", "centroid", "cone_faces",
+    "disc_moments", "moments", "polygon_moments", "scale_section",
     "section_from_json", "section_to_json", "spherical_vertex_opening",
     "exact_reduced_spectrum", "fd_halfline_spectrum", "lambda_from_gauge",
     "ConcentrationThreshold", "ConcentrationVerdict", "DeGennesResult",
     "EnergyEstimate", "TruncatedEdgeReport",
     "concentration_threshold", "cylinder_energy", "degennes_mu",
     "essential_spectrum_limit", "halfspace_sigma", "theta0", "theta0_detail",
-    "truncated_domain_edges", "wedge_energy_upper",
+    "truncated_domain_edges",
     "BoundaryProfile", "robin_best_axis_bound",
     "robin_cone_upper_bound", "robin_model_energy", "robin_scaling_exponent",
     "__version__",

@@ -186,8 +186,10 @@ def reference_asymptotics(kind: str, alpha: float, *, beta: float = 0.0,
     """Leading small-opening term of the reference geometries.
 
     ``sector``           plane sector of opening alpha:    |B| alpha / sqrt(3)
-                         (the wedge of opening alpha has the same leading
-                         term: ``models.wedge_energy_upper``)
+                         (the leading term of the wedge of opening alpha
+                         too, for fields in its bisector plane or tangent
+                         to a face; a leading-order value, not a bound,
+                         so the essential-energy estimates do not use it)
     ``circularCone``     circular cone of opening alpha, field at latitude
                          beta from the axis plane:
                          |B| sqrt(1 + sin^2 beta) * 3 alpha / 2^(5/2)

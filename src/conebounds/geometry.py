@@ -265,11 +265,22 @@ def disc_moments(disc: Disc) -> Moments:
 
 
 def moments(section: Section) -> Moments:
+    """Area and second moments of a polygon or a disc.
+
+    Raises ``GeometryError`` when one of them is not finite: the second
+    moments grow like the fourth power of the size, so a section about
+    1e77 across overflows, and every bound read from it would be ``nan``.
+    """
     if isinstance(section, Polygon):
-        return polygon_moments(section)
-    if isinstance(section, Disc):
-        return disc_moments(section)
-    raise UsageError(f"not a section: {section!r}")
+        m = polygon_moments(section)
+    elif isinstance(section, Disc):
+        m = disc_moments(section)
+    else:
+        raise UsageError(f"not a section: {section!r}")
+    if not all(map(math.isfinite, (m.area, m.M0, m.M1, m.M2))):
+        raise GeometryError("section moments overflow: the section is too "
+                            "large for double precision")
+    return m
 
 
 def centroid(section: Section) -> np.ndarray:
@@ -315,8 +326,10 @@ def _corner_turns(v: np.ndarray, idx: np.ndarray):
 def _corner_angles(polygon: Polygon, idx: np.ndarray) -> np.ndarray:
     """Interior corner angles at the vertices ``idx``, in (0, 2*pi).
 
-    Raises ``GeometryError`` at the first of them that is numerically 0
-    or 2*pi (see :func:`interior_angle`).
+    Reflex corners of nonconvex polygons give angles above pi, a straight
+    corner (collinear neighbours) gives pi.  Raises ``GeometryError`` at
+    the first of them that is numerically 0 or 2*pi: the tangent wedge is
+    not defined there.
     """
     # interior lies to the left of the oriented boundary, so sweep
     # counterclockwise from the outgoing edge to the reversed incoming one
@@ -326,19 +339,6 @@ def _corner_angles(polygon: Polygon, idx: np.ndarray) -> np.ndarray:
         raise GeometryError(
             f"degenerate corner angle at vertex {idx[np.argmax(bad)]}")
     return ang
-
-
-def interior_angle(polygon: Polygon, i: int) -> float:
-    """Interior corner angle at vertex ``i``, in (0, 2*pi).
-
-    Reflex corners of nonconvex polygons give angles above pi.  A straight
-    corner (collinear neighbours) gives pi: its two sides, and the two cone
-    faces over them, are coplanar, so its tangent model is the half-plane
-    that either face already gives.  Angles at (numerically) 0 or 2*pi are
-    rejected: the tangent wedge is not defined there.
-    """
-    return float(_corner_angles(polygon,
-                                np.array([i % polygon.n_vertices]))[0])
 
 
 def cone_faces(polygon: Polygon, eps: float) -> np.ndarray:
@@ -379,19 +379,6 @@ def _edge_openings(polygon: Polygon, faces: np.ndarray,
     return np.where(alpha > math.pi, math.pi + between, math.pi - between)
 
 
-def cone_edge_openings(polygon: Polygon, eps: float) -> np.ndarray:
-    """Openings of the tangent wedges along all cone edges over ``eps * polygon``.
-
-    Entry ``i`` is :func:`spherical_vertex_opening` at vertex ``i``:
-    ``pi - angle(n_{i-1}, n_i)`` between rows of :func:`cone_faces` at a
-    convex edge and ``pi + angle`` at a reflex one; a straight corner gives
-    ``pi``.  Raises ``GeometryError`` at the first zero-angle corner (see
-    :func:`interior_angle`).
-    """
-    return _edge_openings(polygon, cone_faces(polygon, eps),
-                          np.arange(polygon.n_vertices))
-
-
 def spherical_vertex_opening(polygon: Polygon, i: int, eps: float) -> float:
     """Opening of the tangent wedge along the cone edge through vertex ``i``.
 
@@ -407,10 +394,17 @@ def spherical_vertex_opening(polygon: Polygon, i: int, eps: float) -> float:
     with ``c = 0`` when the vertex sits at the origin (there the opening
     is ``alpha`` for every ``eps``).
 
-    The angle is read off the outward face normals of :func:`cone_faces`
-    (:func:`cone_edge_openings` gives every edge at once), with the reflex
-    side taken from the plane corner, which keeps reflex corners of
-    nonconvex sections correct.
+    The angle is read off the outward face normals of :func:`cone_faces`:
+    ``pi - angle(n_{i-1}, n_i)`` at a convex edge and ``pi + angle`` at a
+    reflex one, the reflex side taken from the plane corner, which keeps
+    reflex corners of nonconvex sections correct.  A straight corner gives
+    ``pi``: its two faces are coplanar.  At ``eps = 0`` the opening is the
+    plane corner angle.  Raises ``GeometryError`` at a corner of angle
+    (numerically) 0 or ``2*pi``.  Nothing in the essential-energy
+    estimates reads the openings: the wedge channel enters them only
+    through the caller's floor.
+    :func:`~conebounds.models.truncated_domain_edges` gives every edge of
+    the truncated cone at once.
     """
     return float(_edge_openings(polygon, cone_faces(polygon, eps),
                                 np.array([i % polygon.n_vertices]))[0])

@@ -13,25 +13,22 @@ faces, wedges along the edges.  The corresponding scalar model energies
   basis (an upper bound); ``sigma(0)`` is the de Gennes constant
   ``Theta_0 ~ 0.59`` and ``sigma(pi/2) = 1``, nondecreasing in between
   (Lu-Pan 2000),
-* wedge of opening ``alpha``: no closed form; a trusted caller-supplied
-  floor ``c_floor`` is used from below and the small-opening upper bound
-  ``|B| alpha / sqrt(3)`` (:func:`wedge_energy_upper`, the same leading
-  term as the ``sector`` kind of
-  :func:`~conebounds.gauge.reference_asymptotics`) from above, valid for
-  fields in the bisector plane or tangent to a face.
+* wedge of opening ``alpha``: no closed form and no proven upper value
+  here; a trusted caller-supplied floor ``c_floor`` is used from below.
 
 Combining the three classes gives two-sided estimates
 (:class:`EnergyEstimate`: ``source``, ``lower``, ``upper``) for the
 essential energy of sharpening cones and of the reference cylinder over a
 section, which is the cone at ``eps = 0``.  Both are one function,
-``_tangent_estimate``: it reads the face and edge channels off one
-:func:`~conebounds.geometry.cone_faces` array per call, the edge openings
-being the angles between its consecutive rows (as in
-:func:`~conebounds.geometry.cone_edge_openings`), and takes the least
-channel at each end.  Both channels grow with their angle, so each is read
-at its least one: ``sigma`` at the least face angle, one solve per ladder
-rung.  An explicit threshold says when the apex bound drops below every
-non-apex channel, certifying corner concentration.
+``_tangent_estimate``: it reads the face channel off one
+:func:`~conebounds.geometry.cone_faces` array per call.  ``sigma`` grows
+with the field angle, so it is read at the least one: one solve per ladder
+rung.  That value bounds one tangent model from above, so the least of
+them too, and ``sigma <= 1`` covers the interior: it is the upper end.
+The wedges enter only the lower end, through ``c_floor``; the
+small-opening asymptote ``|B| alpha / sqrt(3)`` is leading-order only and
+is not used as a bound.  An explicit threshold says when the apex bound
+drops below every non-apex channel, certifying corner concentration.
 
 Every half-space energy here (the de Gennes band ``mu(xi)``, ``Theta_0``
 and ``sigma(theta)``) is a Rayleigh-Ritz value on a spectral basis, so an
@@ -305,22 +302,7 @@ def _legendre_grams(n: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# wedges, cylinders, sharpening cones
-
-def wedge_energy_upper(alpha: float, field_norm: float = 1.0) -> float:
-    """Leading-order upper bound ``|B| alpha / sqrt(3)`` for a wedge.
-
-    Valid for fields lying in the bisector plane or tangent to a face of
-    the wedge; cubic corrections in the opening are dropped.
-    """
-    a = float(alpha)
-    if not (0.0 < a < 2.0 * math.pi):
-        raise DomainError("wedge opening must lie in (0, 2*pi)")
-    bn = float(field_norm)
-    if bn < 0.0 or not math.isfinite(bn):
-        raise DomainError("field norm must be nonnegative")
-    return bn * a / math.sqrt(3.0)
-
+# cylinders and sharpening cones
 
 #: How the face and wedge channels of the two-sided estimates are obtained.
 _SIGMA_SOURCE = ("sigma by Rayleigh-Ritz on a theta-adapted spectral basis "
@@ -350,13 +332,12 @@ def _tangent_estimate(b: MagneticField, section: Polygon, eps: float,
     """Two-sided estimate from the tangent models of the cone over
     ``eps * section``, the reference cylinder at ``eps = 0``: one half-space
     per row of :func:`cone_faces`, at the angle ``arcsin(|N . B| / |B|)`` to
-    the field, and one wedge per cone edge.  Per unit field, the upper end
-    is the least of 1, the face ``sigma`` values and the wedge upper bounds,
-    the lower end the least of 1, the face ``sigma`` values and ``c_floor``.
+    the field.  Per unit field, the upper end is the least face ``sigma``,
+    the lower end the least of that and ``c_floor``, which stands for the
+    edges.  Both ``sigma`` and ``c_floor`` are at most 1, the interior.
 
-    ``sigma`` is nondecreasing in the field angle (Lu-Pan 2000) and the
-    wedge bound ``alpha / sqrt(3)`` increasing in the opening, so each
-    channel is read at its least angle: one ``sigma`` solve per call.  The
+    ``sigma`` is nondecreasing in the field angle (Lu-Pan 2000), so it is
+    read at the least angle: one ``sigma`` solve per call.  The
     Rayleigh-Ritz ``sigma`` is monotone on either side of
     :data:`SHEAR_ANGLE` but drops by 5.6e-6 across it, where the basis
     switches; face angles straddling it within about 1e-5 rad can give
@@ -368,15 +349,9 @@ def _tangent_estimate(b: MagneticField, section: Polygon, eps: float,
     faces = cone_faces(section, eps)
     thetas = np.arcsin(np.minimum(1.0, np.abs(faces @ b.as_array()) / b.norm))
     sigma = halfspace_sigma(float(thetas.min()))
-    openings = _edge_openings(section, faces, np.arange(section.n_vertices))
-    upper = min(1.0, sigma, wedge_energy_upper(float(openings.min())))
-    lower = min(1.0, sigma, c_floor)
-    if lower > upper:
-        raise DomainError(
-            "c_floor exceeds a wedge upper bound; the supplied floor cannot "
-            "be valid for these edge openings")
     return EnergyEstimate(source=source + _SIGMA_SOURCE,
-                          lower=b.norm * lower, upper=b.norm * upper)
+                          lower=b.norm * min(sigma, c_floor),
+                          upper=b.norm * sigma)
 
 
 def cylinder_energy(field, section: Section, c_floor: float) -> EnergyEstimate:
@@ -385,9 +360,10 @@ def cylinder_energy(field, section: Section, c_floor: float) -> EnergyEstimate:
     The cylinder ``w x R`` is the cone over ``eps * w`` at ``eps = 0``.  Its
     tangent models are full space in the interior, one half-space per side
     (boundary plane spanned by the edge and the axis), one axis-parallel
-    wedge per corner with the plane opening angle.  The upper value is the
-    least of the channel upper values, the lower value the least of the
-    channel lower values with wedges floored at ``c_floor * |B|``.
+    wedge per corner with the plane opening angle.  The upper value is
+    ``|B|`` times the least side ``sigma``, a Rayleigh-Ritz upper bound; the
+    lower value is the least of that and ``c_floor * |B|``, the floor the
+    caller trusts for the wedges, and so is not a proven lower bound.
     Homogeneous of degree one in the field.
     """
     b, c = _checked_inputs(field, section, c_floor, "cylinder")
@@ -401,11 +377,10 @@ def essential_spectrum_limit(field, section: Section, epsilons,
 
     The tangent models of the cone away from the apex are read off on the
     unit sphere: one half-space per lateral face (plane through the origin
-    and two consecutive lifted vertices), one wedge per cone edge with the
-    spherical opening.  As ``eps -> 0`` the face planes tend to the
-    cylinder's vertical planes and the openings tend to the plane corner
-    angles, so these estimates converge to :func:`cylinder_energy`, which
-    is the same computation at ``eps = 0``.
+    and two consecutive lifted vertices), one wedge per cone edge, floored
+    at ``c_floor``.  As ``eps -> 0`` the face planes tend to the cylinder's
+    vertical planes, so these estimates converge to :func:`cylinder_energy`,
+    which is the same computation at ``eps = 0``.
     """
     b, c = _checked_inputs(field, section, c_floor, "essential spectrum")
     eps_list = [float(e) for e in epsilons]

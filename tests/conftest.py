@@ -16,8 +16,8 @@ cross-checked by finite differences against the library's spectral
 Rayleigh-Ritz solve, and so is the de Gennes band ``mu(xi)``
 (``fd_degennes_mu``);
 ``per_face_channel_ends`` solves ``sigma`` on every face of a cone and
-takes the least channel, the reference for the library's estimate, which
-solves once, at the least face angle; the
+takes the least face channel, the reference for the library's estimate,
+which solves once, at the least face angle; the
 radial projection of the cone onto a thin cylinder, with its Jacobian,
 gives the cone-versus-cylinder deviation checks; ``quad_robin_bound``
 integrates the Robin cone bound over the polar boundary profile with
@@ -38,9 +38,8 @@ from numpy.polynomial.legendre import leggauss
 
 from conebounds import (AccuracyWarning, Disc, DomainError, GeometryError,
                         MagneticField, Moments, Polygon, TransverseGauge,
-                        UsageError, centroid, halfspace_sigma,
-                        lambda_from_gauge, moments, wedge_energy_upper)
-from conebounds.geometry import cone_edge_openings, cone_faces
+                        UsageError, centroid, cone_faces, halfspace_sigma,
+                        lambda_from_gauge, moments)
 
 
 # ---------------------------------------------------------------------------
@@ -304,20 +303,16 @@ def fd_halfspace_sigma(theta, s_half=10.0, t_max=20.0, n_s=159, n_t=160):
 def per_face_channel_ends(field, section, eps, c_floor):
     """``(lower, upper)`` essential-energy ends of the cone over ``eps * w``.
 
-    ``sigma`` is solved at the field angle of every row of ``cone_faces``
-    and the wedge bound taken at every cone edge opening; the upper end is
-    ``|B|`` times the least of 1, the ``sigma`` values and the wedge
-    bounds, the lower end ``|B|`` times the least of 1, the ``sigma``
-    values and ``c_floor``.  ``eps = 0`` is the reference cylinder.
+    ``sigma`` is solved at the field angle of every row of ``cone_faces``;
+    the upper end is ``|B|`` times the least ``sigma`` value, the lower end
+    ``|B|`` times the least of the ``sigma`` values and ``c_floor``, the
+    floor for the edges.  ``eps = 0`` is the reference cylinder.
     """
     b = MagneticField.from_any(field)
     faces = cone_faces(section, eps)
     thetas = np.arcsin(np.minimum(1.0, np.abs(faces @ b.as_array()) / b.norm))
     sigmas = [halfspace_sigma(th) for th in thetas.tolist()]
-    wedges = [wedge_energy_upper(a)
-              for a in cone_edge_openings(section, eps).tolist()]
-    return (b.norm * min([1.0] + sigmas + [c_floor]),
-            b.norm * min([1.0] + sigmas + wedges))
+    return b.norm * min(sigmas + [c_floor]), b.norm * min(sigmas)
 
 
 # ---------------------------------------------------------------------------

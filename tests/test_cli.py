@@ -129,6 +129,20 @@ class TestCommands:
         assert report["result"]["provenance"] == ["Rayleigh-Ritz",
                                                   "upper-bound"]
 
+    def test_ess_on_a_sharp_triangle_with_a_floor_above_its_corners(
+            self, capsys, tmp_path):
+        # the pi/4 corners' small-opening value (pi/4) / sqrt(3) = 0.453 is
+        # below the floor 0.5, but it is leading-order only and no bound,
+        # so it neither rejects the floor nor sets the upper end
+        path = tmp_path / "tri.json"
+        path.write_text(json.dumps({"polygon": [[0, 0], [1, 0], [0, 1]]}))
+        code, report = run_cli(capsys, [
+            "ess", "--section", str(path), "--field", "0,0,1",
+            "--eps", "0.4,0.2", "--cfloor", "0.5"])
+        assert code == 0
+        for row in report["result"]["rows"]:
+            assert row["lower"] <= 0.5 < row["upper"]
+
     def test_robin_wedge(self, capsys):
         code, report = run_cli(capsys, ["robin", "wedge",
                                         "--alpha", repr(math.pi / 2.0)])
@@ -328,6 +342,23 @@ class TestExitCodes:
                                         str(tmp_path / "absent.json")])
         assert code == 2
         assert report["error"]["kind"] == "parse"
+
+    @pytest.mark.parametrize("doc", [
+        {"polygon": [[0, 0], [1e77, 0], [1e77, 1e77], [0, 1e77]]},
+        {"disc": {"center": [0, 0], "radius": 1e160}}])
+    @pytest.mark.parametrize("command", [
+        ["moments"], ["gauge"], ["bound", "--field", "0,0,1"],
+        ["concentrate", "--field", "0,0,1", "--cfloor", "1", "--eps", "0.2"],
+        ["sweep", "bound", "--field", "0,0,1", "--eps", "1,0.5"]])
+    def test_overflowing_moments_are_a_domain_error(self, capsys, tmp_path,
+                                                    doc, command):
+        # a nan e must not be tagged upper-bound, nor an inf M1 exact
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_cli(capsys, [*command, "--section", str(path)])
+        assert code == 3
+        assert report["error"]["kind"] == "domain"
+        assert "moments overflow" in report["error"]["message"]
 
     def test_degenerate_polygon_is_domain_error(self, capsys, tmp_path):
         flat = tmp_path / "flat.json"

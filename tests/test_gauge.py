@@ -9,8 +9,7 @@ from conebounds import (Disc, DomainError, MagneticField, Polygon,
                         TransverseGauge, UsageError, e_constant, full_gauge,
                         min_transverse_norm_sq, moments,
                         optimal_transverse_gauge, rayleigh_upper_bounds,
-                        reference_asymptotics, scale_section,
-                        wedge_energy_upper)
+                        reference_asymptotics, scale_section)
 from conftest import (brute_force_gauge, random_field, random_star_polygon,
                       section_nodes)
 
@@ -271,13 +270,11 @@ class TestRayleighUpperBounds:
 
 
 class TestReferenceAsymptotics:
-    def test_sector_third_pi_is_the_wedge_bound(self):
-        # the wedge has the sector's leading term, computed once each
+    def test_sector_third_pi(self):
         val = reference_asymptotics("sector", math.pi / 3.0)
         assert val == pytest.approx(math.pi / (3.0 * math.sqrt(3.0)),
                                     rel=1e-14)
         assert val == pytest.approx(0.604600, abs=5e-7)
-        assert val == wedge_energy_upper(math.pi / 3.0)
 
     def test_sector_coefficient(self):
         alpha = 0.02

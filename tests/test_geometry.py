@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from conebounds import (Disc, GeometryError, Polygon, UsageError, centroid,
-                        cone_edge_openings, cone_faces, disc_moments,
-                        interior_angle, moments, polygon_moments,
-                        scale_section, section_from_json, section_to_json,
-                        spherical_vertex_opening)
+                        cone_faces, disc_moments, e_constant, moments,
+                        polygon_moments, scale_section, section_from_json,
+                        section_to_json, spherical_vertex_opening,
+                        truncated_domain_edges)
 from conftest import (ScalarPolygon, project_P, projection_jacobian,
                       quad_moments, random_star_polygon, section_nodes)
 
@@ -274,6 +274,23 @@ class TestMomentInvariants:
                 assert getattr(ms, k) == pytest.approx(
                     eps ** 2 * getattr(m, k), rel=1e-13, abs=1e-16)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("section", [
+        Polygon(1e77 * np.array([(0, 0), (1, 0), (1, 1), (0, 1)])),
+        Disc((0.0, 0.0), 1e160)])
+    def test_overflowing_moments_are_a_geometry_error(self, section):
+        # M1 of the square is inf and the disc's area is inf; every bound
+        # read from them would be nan
+        with pytest.raises(GeometryError, match="moments overflow"):
+            moments(section)
+
+    def test_side_1e76_square_keeps_its_bound(self):
+        # [0, s]^2 under the axial field: e = sqrt(7/96) s
+        s = 1e76
+        square = Polygon(s * np.array([(0, 0), (1, 0), (1, 1), (0, 1)]))
+        assert e_constant((0, 0, 1), square) == pytest.approx(
+            math.sqrt(7.0 / 96.0) * s, rel=1e-15)
+
 
 class TestScaleSection:
     def test_unit_disc_doubled(self, unit_disc):
@@ -322,12 +339,28 @@ class TestSectionQuadrature:
             polygon_moments(arrow).area, rel=1e-12)
 
 
+def edge_openings(polygon, eps):
+    """Every cone-edge opening, one ``spherical_vertex_opening`` each."""
+    return np.array([spherical_vertex_opening(polygon, i, eps)
+                     for i in range(polygon.n_vertices)])
+
+
+def plane_corner_angle(polygon, i):
+    """Interior angle at vertex ``i``, swept counterclockwise from the edge
+    to the next vertex to the edge to the previous one."""
+    v = polygon.vertices.tolist()
+    (px, py), (x, y), (nx, ny) = (v[i - 1], v[i],
+                                  v[(i + 1) % polygon.n_vertices])
+    ux, uy, wx, wy = px - x, py - y, nx - x, ny - y
+    return math.atan2(wx * uy - wy * ux, wx * ux + wy * uy) % (2 * math.pi)
+
+
 class TestTangentSubstructures:
     # the reference cylinder over the section is the cone at eps = 0: one
     # vertical half-space per side, one wedge per corner at the plane angle
     def test_square_inventory(self, centered_square):
         faces = cone_faces(centered_square, 0)
-        ops = cone_edge_openings(centered_square, 0)
+        ops = edge_openings(centered_square, 0)
         assert faces.shape == (4, 3) and ops.shape == (4,)
         assert ops == pytest.approx([math.pi / 2] * 4, abs=1e-12)
         assert np.all(faces[:, 2] == 0.0)
@@ -341,19 +374,19 @@ class TestTangentSubstructures:
         assert normals == [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
 
     def test_triangle_openings(self, unit_triangle):
-        ops = sorted(cone_edge_openings(unit_triangle, 0))
+        ops = sorted(edge_openings(unit_triangle, 0))
         assert ops == pytest.approx([math.pi / 4, math.pi / 4, math.pi / 2],
                                     abs=1e-12)
 
     def test_hexagon_openings(self):
         phi = 2.0 * np.pi * np.arange(6) / 6.0
         hexa = Polygon(np.column_stack([np.cos(phi), np.sin(phi)]))
-        assert cone_edge_openings(hexa, 0) == pytest.approx(
+        assert edge_openings(hexa, 0) == pytest.approx(
             [2 * math.pi / 3] * 6, abs=1e-12)
 
     def test_reflex_corner_opening(self):
         arrow = Polygon([(0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)])
-        ops = cone_edge_openings(arrow, 0)
+        ops = edge_openings(arrow, 0)
         assert any(op > math.pi for op in ops)
         assert sum(ops) == pytest.approx((5 - 2) * math.pi, abs=1e-9)
 
@@ -361,23 +394,33 @@ class TestTangentSubstructures:
         # vertex 1 sits between collinear neighbours: the section is valid,
         # the two cone faces over its sides are coplanar, the edge is flat
         flat = Polygon([(-1, -1), (0, -1), (1, -1), (1, 1), (-1, 1)])
-        assert interior_angle(flat, 1) == pytest.approx(math.pi, abs=1e-12)
         for eps in (0.0, 0.05, 0.3, 1.2):
-            got = cone_edge_openings(flat, eps)
+            got = edge_openings(flat, eps)
             assert got[1] == pytest.approx(math.pi, abs=1e-12)
             assert np.delete(got, 1) == pytest.approx(
-                cone_edge_openings(centered_square, eps), abs=1e-12)
+                edge_openings(centered_square, eps), abs=1e-12)
 
     def test_zero_angle_corner_still_raises(self):
         # a spike 1e-10 wide at vertex 4: simple, so Polygon accepts it,
         # but its tip has no tangent wedge
         spiky = Polygon([(0, 0), (1, 0), (1, 1), (0.5 + 1e-10, 1), (0.5, 3),
                          (0.5, 1), (0, 1)])
-        with pytest.raises(GeometryError, match="vertex 4"):
-            interior_angle(spiky, 4)
         for eps in (0.0, 0.3):
             with pytest.raises(GeometryError, match="vertex 4"):
-                cone_edge_openings(spiky, eps)
+                spherical_vertex_opening(spiky, 4, eps)
+        with pytest.raises(GeometryError, match="vertex 4"):
+            truncated_domain_edges(spiky, 0.3)
+
+    def test_lateral_edges_are_the_vertex_openings(self):
+        # truncated_domain_edges reads all openings in one pass; each equals
+        # the one-vertex opening bit for bit
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            poly = random_star_polygon(rng, int(rng.integers(3, 9)))
+            for eps in (1.0, 0.3, 0.01):
+                lateral = [op for _, op in
+                           truncated_domain_edges(poly, eps).lateral]
+                assert lateral == edge_openings(poly, eps).tolist()
 
 
 class TestProjectP:
@@ -449,7 +492,7 @@ class TestSphericalVertexOpening:
                         (0.2, 1.4)])
         v = poly.vertices
         n = poly.n_vertices
-        assert [interior_angle(poly, i) > math.pi for i in range(n)] == \
+        assert [plane_corner_angle(poly, i) > math.pi for i in range(n)] == \
             [False, False, False, True, False]
 
         def lift(q, eps):
@@ -459,7 +502,7 @@ class TestSphericalVertexOpening:
         ladder = (0.02, 0.01, 0.005, 0.0025)
         for i in range(n):
             a, p, b = v[(i - 1) % n], v[i], v[(i + 1) % n]
-            alpha = interior_angle(poly, i)
+            alpha = plane_corner_angle(poly, i)
             for eps in (2.0, 0.7, 0.1) + ladder:
                 n1 = np.cross(lift(a, eps), lift(p, eps))
                 n2 = np.cross(lift(p, eps), lift(b, eps))
@@ -488,7 +531,7 @@ class TestSphericalVertexOpening:
     def test_reflex_corner_stays_reflex_for_small_eps(self):
         arrow = Polygon([(0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)])
         reflex = [i for i in range(5)
-                  if interior_angle(arrow, i) > math.pi][0]
+                  if plane_corner_angle(arrow, i) > math.pi][0]
         op = spherical_vertex_opening(arrow, reflex, 0.05)
         assert op > math.pi
 
@@ -510,7 +553,7 @@ class TestSphericalVertexOpening:
                         (0.2, 1.4)])
         for i in range(poly.n_vertices):
             assert spherical_vertex_opening(poly, i, 0.0) == pytest.approx(
-                interior_angle(poly, i), abs=1e-14)
+                plane_corner_angle(poly, i), abs=1e-14)
 
 
 class TestSectionJson:

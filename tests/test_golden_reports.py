@@ -2,8 +2,9 @@
 
 Each case runs one README example through ``cli.run`` in a directory that
 holds the README's ``disc.json`` (unit disc about the origin) and
-``square.json`` (``[-1, 1]^2``), and compares its stdout, with the
-``timing`` entry cut out, to ``tests/golden/<name>.json``.  ``sweep bound``
+``square.json`` (``[-1, 1]^2``), with ``huge.json`` (``[0, 1e77]^2``) for
+an error case, and compares its stdout, with the ``timing`` entry cut
+out, to ``tests/golden/<name>.json``.  ``sweep bound``
 also compares the CSV it writes.  The ``error_*`` cases pin error reports
 the same way, with their exit codes; an error report has no ``timing``
 entry.  A change that is meant to keep every report identical is checked
@@ -36,6 +37,9 @@ SECTIONS = {
     "disc.json": {"disc": {"center": [0.0, 0.0], "radius": 1.0}},
     "square.json": {"polygon": [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0],
                                 [-1.0, 1.0]]},
+    # the square of side 1e77, whose moments overflow
+    "huge.json": {"polygon": [[0.0, 0.0], [1e77, 0.0], [1e77, 1e77],
+                              [0.0, 1e77]]},
 }
 
 CASES = {
@@ -57,11 +61,13 @@ CASES = {
     "error_concentrate_cfloor": ("concentrate --section disc.json "
                                  "--field 0,0,1 --cfloor 2 --eps 0.2"),
     "error_robin_cone_nan_axis": "robin cone --section disc.json --axis=nan,0",
+    "error_bound_overflow": "bound --section huge.json --field 0,0,1",
 }
 
 #: Exit codes of the error cases; every other case exits 0.
 EXIT_CODES = {"error_sweep_bound_eps": 3, "error_edges_eps": 3,
-              "error_concentrate_cfloor": 2, "error_robin_cone_nan_axis": 3}
+              "error_concentrate_cfloor": 2, "error_robin_cone_nan_axis": 3,
+              "error_bound_overflow": 3}
 
 #: The last entry of every report: its wall time, which varies by run.
 _TIMING = re.compile(r',\n  "timing": \{\n    "wallTimeS": [^\n]*\n  \}(?=\n\}\n$)')

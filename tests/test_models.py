@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from conebounds import geometry, models
-from conebounds import (Disc, DomainError, EnergyEstimate, Polygon,
-                        UsageError, concentration_threshold, cylinder_energy,
-                        degennes_mu, e_constant, essential_spectrum_limit,
-                        halfspace_sigma, theta0, theta0_detail,
-                        truncated_domain_edges, wedge_energy_upper)
+from conebounds import (Disc, DomainError, EnergyEstimate, MagneticField,
+                        Polygon, UsageError, concentration_threshold,
+                        cylinder_energy, degennes_mu, e_constant,
+                        essential_spectrum_limit, halfspace_sigma, theta0,
+                        theta0_detail, truncated_domain_edges)
 from conebounds.models import (SHEAR_ANGLE, _sigma_cached, degennes_basis,
                                rayleigh_ritz_mu, rayleigh_ritz_sigma,
                                sigma_basis)
@@ -207,34 +207,6 @@ class TestEnergyEstimate:
                                       "lower": 1.0, "upper": 2.0}
 
 
-class TestWedgeUpper:
-    def test_pi_third(self):
-        upper = wedge_energy_upper(math.pi / 3.0)
-        assert upper == pytest.approx(math.pi / (3.0 * math.sqrt(3.0)),
-                                      rel=1e-14)
-        assert upper == pytest.approx(0.604600, abs=5e-7)
-
-    def test_linear_vanishing(self):
-        assert wedge_energy_upper(1e-9) == pytest.approx(
-            1e-9 / math.sqrt(3.0), rel=1e-12)
-
-    def test_sqrt_three_identity(self):
-        assert wedge_energy_upper(math.sqrt(3.0)) == pytest.approx(
-            1.0, rel=1e-15)
-
-    def test_field_norm_factor(self):
-        assert wedge_energy_upper(0.5, 3.0) == pytest.approx(
-            3.0 * wedge_energy_upper(0.5), rel=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            wedge_energy_upper(0.0)
-        with pytest.raises(DomainError):
-            wedge_energy_upper(2.0 * math.pi)
-        with pytest.raises(DomainError):
-            wedge_energy_upper(1.0, -1.0)
-
-
 #: Sections of the assembly check: the square, the triangle and a
 #: non-convex pentagon (reflex corner at (1, 0.7)).
 ASSEMBLY_SECTIONS = {
@@ -248,18 +220,12 @@ ASSEMBLY_SECTIONS = {
 @pytest.mark.parametrize("field", [(0.0, 0.0, 1.0), (0.3, -0.4, 0.8)])
 @pytest.mark.parametrize("c_floor", [0.3, 0.7])
 def test_every_rung_is_the_least_channel(name, field, c_floor):
-    # each end of every rung is |B| times the least of the interior, face
-    # and edge channels, the faces at the cone_faces angles and the edges
-    # at the cone_edge_openings, with the wedge bound above and the floor
-    # below; a floor above a wedge bound rejects the whole ladder
+    # each end of every rung is |B| times the least face channel at the
+    # cone_faces angles, the lower end also floored at c_floor
     section = Polygon(ASSEMBLY_SECTIONS[name])
     ladder = [0.6, 0.3, 0.1, 0.02]
     want = [per_face_channel_ends(field, section, eps, c_floor)
             for eps in ladder]
-    if any(lower > upper for lower, upper in want):
-        with pytest.raises(DomainError, match="c_floor exceeds"):
-            essential_spectrum_limit(field, section, ladder, c_floor)
-        return
     got = essential_spectrum_limit(field, section, ladder, c_floor)
     assert [(est.lower, est.upper) for _, est in got] == want
 
@@ -282,8 +248,8 @@ def _seeded_section(kind, rng):
 @pytest.mark.parametrize("kind", ["square", "triangle", "pentagon", "star"])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_least_angle_estimate_equals_the_per_face_oracle(kind, seed):
-    # sigma(theta) and alpha / sqrt(3) are nondecreasing, so reading each
-    # channel at its least angle gives the per-face minimum bit for bit
+    # sigma(theta) is nondecreasing, so reading it at the least face angle
+    # gives the per-face minimum bit for bit
     rng = np.random.default_rng(seed)
     section = _seeded_section(kind, rng)
     ladder = [0.5, 0.2, 0.05]
@@ -295,6 +261,37 @@ def test_least_angle_estimate_equals_the_per_face_oracle(kind, seed):
         want = [per_face_channel_ends(field, section, eps, 0.1)
                 for eps in ladder + [0.0]]
         assert got == want
+
+
+def test_seeded_corpus_rungs_are_the_least_face_sigma():
+    # random star sections, fields and floors: on every ess rung and on the
+    # cylinder, upper is |B| sigma at the least face angle and lower is
+    # |B| min(sigma, c_floor), bit for bit.  The corpus includes sharp
+    # corners whose small-opening value alpha / sqrt(3) lies below that
+    # sigma: a leading-order wedge value, which sets neither end
+    rng = np.random.default_rng(27)
+    ladder = [1.0, 0.3, 0.1]
+    below_face = 0
+    for _ in range(30):
+        section = random_star_polygon(rng, int(rng.integers(3, 9)))
+        field = tuple(random_field(rng))
+        c_floor = float(rng.uniform(0.05, 1.0))
+        b = MagneticField.from_any(field)
+        got = [est for _, est in
+               essential_spectrum_limit(field, section, ladder, c_floor)]
+        got.append(cylinder_energy(field, section, c_floor))
+        for eps, est in zip(ladder + [0.0], got):
+            faces = geometry.cone_faces(section, eps)
+            thetas = np.arcsin(np.minimum(
+                1.0, np.abs(faces @ b.as_array()) / b.norm))
+            sigma = halfspace_sigma(float(thetas.min()))
+            assert est.upper == b.norm * sigma
+            assert est.lower == b.norm * min(sigma, c_floor)
+            least_opening = min(
+                geometry.spherical_vertex_opening(section, i, eps)
+                for i in range(section.n_vertices))
+            below_face += least_opening / math.sqrt(3.0) < sigma
+    assert below_face >= 10
 
 
 def test_face_angles_straddling_the_shear_angle():
@@ -338,7 +335,7 @@ class TestCylinderEnergy:
         est = cylinder_energy((0, 0, 1), centered_square, c_floor=0.3)
         assert est.kind == "TwoSided"
         # every side plane contains the field, so the face channel sits at
-        # sigma(0) = Theta_0, below interior 1 and the pi/2 wedge bound
+        # sigma(0) = Theta_0
         assert est.upper == pytest.approx(theta0(), rel=1e-12)
         assert est.lower <= est.upper
 
@@ -346,10 +343,12 @@ class TestCylinderEnergy:
         est = cylinder_energy((0, 0, 1), centered_square, c_floor=0.3)
         assert est.lower == pytest.approx(0.3, rel=1e-14)
 
-    def test_sharp_triangle_upper_is_wedge_bound(self, unit_triangle):
+    def test_sharp_triangle_upper_is_theta0(self, unit_triangle):
+        # the pi/4 corners do not lower the upper end: their small-opening
+        # value (pi/4) / sqrt(3) = 0.453 is leading-order only, not a bound
         est = cylinder_energy((0, 0, 1), unit_triangle, c_floor=0.3)
-        assert est.upper == pytest.approx(math.pi / 4.0 / math.sqrt(3.0),
-                                          rel=1e-12)
+        assert est.upper == theta0()
+        assert est.lower == 0.3
 
     def test_homogeneity(self, centered_square):
         one = cylinder_energy((0.3, -0.4, 0.8), centered_square, 0.4)
@@ -381,13 +380,6 @@ class TestCylinderEnergy:
             got = cylinder_energy(field, flat, 0.3)
             assert got.lower == pytest.approx(want.lower, abs=1e-12)
             assert got.upper == pytest.approx(want.upper, abs=1e-12)
-
-    def test_inconsistent_floor_rejected(self):
-        # a 0.1-rad corner has wedge upper bound 0.058; a floor of 1 would
-        # claim a lower bound above it, which cannot be a valid floor
-        sliver = Polygon([(0, 0), (1, 0), (1, math.tan(0.1))])
-        with pytest.raises(DomainError):
-            cylinder_energy((0, 0, 1), sliver, c_floor=1.0)
 
 
 class TestEssentialSpectrumLimit:
