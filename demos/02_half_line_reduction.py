@@ -41,6 +41,8 @@ def quotient_1d(phi, dphi, lam, t, jac):
 
 # --- lam from the optimal gauge --------------------------------------------
 
+# full_gauge assembles the 3x2 matrix of A(x) = L (x1, x2), the one form
+# lambda_from_gauge takes.
 disc = Disc(center=(0.0, 0.0), radius=1.0)
 gauge = full_gauge((0.0, 0.0, 1.0), optimal_transverse_gauge(moments(disc)))
 lam = lambda_from_gauge(gauge, disc)

@@ -19,7 +19,7 @@ import math
 
 from conebounds import (BoundaryProfile, Disc, Polygon,
                         robin_best_axis_bound, robin_cone_upper_bound,
-                        robin_model_energy, robin_scaling_exponent)
+                        robin_scaling_exponent, robin_wedge_energy)
 
 # --- explicit model energies ---------------------------------------------------
 
@@ -27,8 +27,8 @@ print("alpha (deg)   wedge energy")
 for alpha in (math.pi / 6, math.pi / 3, math.pi / 2, math.pi,
               1.5 * math.pi):
     print(f"{math.degrees(alpha):9.1f}     "
-          f"{robin_model_energy('wedge', alpha):12.6f}")
-print(f"half space: {robin_model_energy('halfSpace'):12.6f}")
+          f"{robin_wedge_energy(alpha):12.6f}")
+print("(the 180-degree wedge is the half space, energy -1)")
 
 # --- circular cones reproduce the wedge formula --------------------------------
 

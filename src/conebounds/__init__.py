@@ -18,7 +18,7 @@ from .gauge import (BoundResult, MagneticField, TransverseGauge, e_constant,
                     reference_asymptotics)
 from .geometry import (Disc, Moments, Polygon, Section, centroid,
                        cone_faces, disc_moments, moments, polygon_moments,
-                       scale_section, section_from_json, section_to_json,
+                       scale_section, section_from_json,
                        spherical_vertex_opening)
 from .halfline import (exact_reduced_spectrum, fd_halfline_spectrum,
                        lambda_from_gauge)
@@ -28,8 +28,8 @@ from .models import (ConcentrationThreshold, ConcentrationVerdict,
                      essential_spectrum_limit, halfspace_sigma, theta0,
                      theta0_detail, truncated_domain_edges)
 from .robin import (BoundaryProfile, robin_best_axis_bound,
-                    robin_cone_upper_bound, robin_model_energy,
-                    robin_scaling_exponent)
+                    robin_cone_upper_bound, robin_scaling_exponent,
+                    robin_wedge_energy)
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,7 @@ __all__ = [
     "rayleigh_upper_bounds", "reference_asymptotics",
     "Disc", "Moments", "Polygon", "Section", "centroid", "cone_faces",
     "disc_moments", "moments", "polygon_moments", "scale_section",
-    "section_from_json", "section_to_json", "spherical_vertex_opening",
+    "section_from_json", "spherical_vertex_opening",
     "exact_reduced_spectrum", "fd_halfline_spectrum", "lambda_from_gauge",
     "ConcentrationThreshold", "ConcentrationVerdict", "DeGennesResult",
     "EnergyEstimate", "TruncatedEdgeReport",
@@ -49,6 +49,6 @@ __all__ = [
     "essential_spectrum_limit", "halfspace_sigma", "theta0", "theta0_detail",
     "truncated_domain_edges",
     "BoundaryProfile", "robin_best_axis_bound",
-    "robin_cone_upper_bound", "robin_model_energy", "robin_scaling_exponent",
+    "robin_cone_upper_bound", "robin_scaling_exponent", "robin_wedge_energy",
     "__version__",
 ]

@@ -41,8 +41,7 @@ eigenvalues by ``sqrt(lam)``, so it takes no grid options.
 
 Exit codes: 0 success, 2 parse or usage errors, 3 domain errors
 (inadmissible geometry or parameters), 4 accuracy failures (hard accuracy
-errors always; accuracy warnings when running with --strict or with
-CONEBOUNDS_STRICT=1 in the environment).
+errors always; accuracy warnings when running with --strict).
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 import warnings
@@ -70,7 +68,7 @@ from .halfline import exact_reduced_spectrum, fd_halfline_spectrum
 from .models import (concentration_threshold, essential_spectrum_limit,
                      halfspace_sigma, theta0_detail, truncated_domain_edges)
 from .robin import (BoundaryProfile, robin_cone_upper_bound,
-                    robin_model_energy, robin_scaling_exponent)
+                    robin_scaling_exponent, robin_wedge_energy)
 
 @dataclass
 class RunConfig:
@@ -164,11 +162,11 @@ def _write_value(obj, pad: str, out: list) -> None:
         raise UsageError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_report(obj, indent: int = 0) -> str:
+def dumps_report(obj) -> str:
     """JSON text with floats at 17 significant digits, two spaces per
-    nesting level, ``indent`` levels in; written in one pass."""
+    nesting level; written in one pass."""
     out: list[str] = []
-    _write_value(obj, "  " * indent, out)
+    _write_value(obj, "", out)
     return "".join(out)
 
 
@@ -231,9 +229,7 @@ def _load_section_arg(path: str) -> dict:
         raise UsageError(f"section file is not valid JSON: {exc}") from exc
 
 
-_STRICT = Option("--strict", "strict",
-                 lambda v: v or os.environ.get("CONEBOUNDS_STRICT") == "1",
-                 action="store_true",
+_STRICT = Option("--strict", "strict", action="store_true",
                  help="escalate accuracy warnings to exit code 4")
 _CSV = (Option("--csv", "csv_path", help="write sweep rows to this CSV file"),
         Option("--quantity", "quantity", help="column to export with --csv"))
@@ -394,7 +390,7 @@ COMMANDS: dict[str, Command] = {
         "exact wedge energy",
         (Option("--alpha", "alpha", type=float, required=True),),
         lambda cfg: {"alpha": cfg.alpha,
-                     "energy": robin_model_energy("wedge", cfg.alpha)},
+                     "energy": robin_wedge_energy(cfg.alpha)},
         ("exact",)),
     "robin.cone": Command(
         "cone upper bound from the polar profile", (_SECTION, _AXIS),

@@ -40,9 +40,6 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .geometry import Moments, Section, moments
 
-#: Curl mismatch above which a transverse gauge is not admissible.
-CURL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class MagneticField:
@@ -64,9 +61,29 @@ class MagneticField:
     def as_array(self) -> np.ndarray:
         return np.array([self.b1, self.b2, self.b3])
 
+    def _scaled(self) -> tuple[int, float, float, float]:
+        """``(k, b1 2^-k, b2 2^-k, b3 2^-k)``, the largest of the three in
+        ``[1/2, 1)``.  ``|B|`` and ``e(B, w)`` are homogeneous of degree one,
+        so they are computed on these, whose largest square neither
+        overflows nor underflows, and multiplied back by ``2^k``, which is
+        exact; the zero field gives ``k = 0``."""
+        k = math.frexp(max(abs(self.b1), abs(self.b2), abs(self.b3)))[1]
+        return (k, math.ldexp(self.b1, -k), math.ldexp(self.b2, -k),
+                math.ldexp(self.b3, -k))
+
     @property
     def norm(self) -> float:
-        return math.sqrt(self.b1 ** 2 + self.b2 ** 2 + self.b3 ** 2)
+        k, b1, b2, b3 = self._scaled()
+        return _times_2_to(math.sqrt(b1 ** 2 + b2 ** 2 + b3 ** 2), k)
+
+
+def _times_2_to(x: float, k: int) -> float:
+    """``x 2^k``, rounded once; ``inf`` past the float range, as a float
+    product would give."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -85,13 +102,6 @@ class TransverseGauge:
     @property
     def curl(self) -> float:
         return self.c - self.b
-
-    def is_admissible(self, tol: float = CURL_TOL) -> bool:
-        return abs(self.curl - 1.0) <= tol
-
-    def norm_sq_over(self, m: Moments) -> float:
-        """Exact ``int_w |A'(x)|^2 dx`` from the section moments."""
-        return m.linear_norm_sq(((self.a, self.b), (self.c, self.d)))
 
 
 def _require_moments(m) -> Moments:
@@ -119,16 +129,16 @@ def min_transverse_norm_sq(m: Moments | Section) -> float:
 
 def e_constant(field, m: Moments | Section) -> float:
     """The section constant ``e(B, w)`` in the linear bounds ``E_n <= (4n-1) e``."""
-    b = MagneticField.from_any(field)
+    k, b1, b2, b3 = MagneticField.from_any(field)._scaled()
     mm = _require_moments(m)
-    rad = (b.b3 ** 2 * (mm.m0 * mm.m2 - mm.m1 ** 2) / (mm.m0 + mm.m2)
-           + b.b2 ** 2 * mm.m2 + b.b1 ** 2 * mm.m0 - 2.0 * b.b1 * b.b2 * mm.m1)
+    rad = (b3 ** 2 * (mm.m0 * mm.m2 - mm.m1 ** 2) / (mm.m0 + mm.m2)
+           + b2 ** 2 * mm.m2 + b1 ** 2 * mm.m0 - 2.0 * b1 * b2 * mm.m1)
     # the quadratic form is positive semidefinite; clip roundoff only
     if rad < 0.0:
-        if rad < -1e-13 * (b.norm ** 2) * (mm.m0 + mm.m2):
+        if rad < -1e-13 * (b1 ** 2 + b2 ** 2 + b3 ** 2) * (mm.m0 + mm.m2):
             raise DomainError("negative energy form: inconsistent moments")
         rad = 0.0
-    return math.sqrt(rad)
+    return _times_2_to(math.sqrt(rad), k)
 
 
 def full_gauge(field, transverse: TransverseGauge) -> np.ndarray:
@@ -139,7 +149,7 @@ def full_gauge(field, transverse: TransverseGauge) -> np.ndarray:
     ``A3(x) = b1 x2 - b2 x1``.  The result ``L`` acts as ``A(x) = L @ (x1, x2)``.
     """
     b = MagneticField.from_any(field)
-    if not transverse.is_admissible(tol=1e-9):
+    if not abs(transverse.curl - 1.0) <= 1e-9:
         raise UsageError("transverse gauge must have unit curl")
     return np.array([[b.b3 * transverse.a, b.b3 * transverse.b],
                      [b.b3 * transverse.c, b.b3 * transverse.d],
@@ -178,7 +188,7 @@ def rayleigh_upper_bounds(field, m: Moments | Section, n_max: int = 3) -> BoundR
 
 
 #: Valid kinds for :func:`reference_asymptotics`.
-ASYMPTOTIC_KINDS = ("sector", "circularCone", "circularConeNth")
+ASYMPTOTIC_KINDS = ("sector", "circularCone")
 
 
 def reference_asymptotics(kind: str, alpha: float, *, beta: float = 0.0,
@@ -191,9 +201,8 @@ def reference_asymptotics(kind: str, alpha: float, *, beta: float = 0.0,
                          to a face; a leading-order value, not a bound,
                          so the essential-energy estimates do not use it)
     ``circularCone``     circular cone of opening alpha, field at latitude
-                         beta from the axis plane:
-                         |B| sqrt(1 + sin^2 beta) * 3 alpha / 2^(5/2)
-    ``circularConeNth``  same with (4n - 1) in place of 3.
+                         beta from the axis plane, n-th eigenvalue:
+                         |B| sqrt(1 + sin^2 beta) * (4n - 1) alpha / 2^(5/2)
     """
     if kind not in ASYMPTOTIC_KINDS:
         raise UsageError(f"unknown asymptotic kind {kind!r}; "
@@ -204,12 +213,13 @@ def reference_asymptotics(kind: str, alpha: float, *, beta: float = 0.0,
     bn = float(field_norm)
     if bn < 0.0 or not math.isfinite(bn):
         raise DomainError("field norm must be nonnegative")
+    bt = float(beta)
+    if not math.isfinite(bt):
+        raise DomainError("latitude beta must be finite")
     if kind == "sector":
         return bn * a / math.sqrt(3.0)
     k = int(n)
-    if kind == "circularCone":
-        k = 1
-    elif k < 1:
+    if k < 1:
         raise UsageError("n must be at least 1")
-    lat = math.sqrt(1.0 + math.sin(float(beta)) ** 2)
+    lat = math.sqrt(1.0 + math.sin(bt) ** 2)
     return bn * lat * (4 * k - 1) * a / (2.0 ** 2.5)

@@ -39,6 +39,10 @@ from .errors import GeometryError, UsageError
 # Relative tolerance used to flag coincident vertices and zero-length edges.
 DEGENERACY_RTOL = 1e-12
 
+# Message of the GeometryError for a section too large for double precision.
+_OVERFLOW = ("section moments overflow: the section is too large for "
+             "double precision")
+
 # Edge pairs that ``Polygon._check_simple`` tests per numpy pass; bounds the
 # temporaries of one pass to a few MB whatever the vertex count.
 _PAIR_BLOCK = 1 << 14
@@ -73,8 +77,9 @@ class Polygon:
     ------
     GeometryError
         Fewer than three vertices, coincident consecutive vertices
-        (within ``DEGENERACY_RTOL`` times the diameter), zero area,
-        a zero-angle spike, or a self-intersecting boundary.
+        (within ``DEGENERACY_RTOL`` times the diameter), an area that
+        overflows (a section about 1e154 across), zero area, a zero-angle
+        spike, or a self-intersecting boundary.
 
     Notes
     -----
@@ -100,7 +105,10 @@ class Polygon:
         edges = np.roll(v, -1, axis=0) - v
         if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= tol):
             raise GeometryError("coincident consecutive vertices")
-        area2 = float(np.sum(_shoelace(v)[-1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            area2 = float(np.sum(_shoelace(v)[-1]))
+        if not math.isfinite(area2):
+            raise GeometryError(_OVERFLOW)
         if abs(area2) <= tol * diam:
             raise GeometryError("polygon area is numerically zero")
         self.reoriented = area2 < 0.0
@@ -244,11 +252,13 @@ def polygon_moments(polygon: Polygon) -> Moments:
                          + x_{i+1} y_i) ci) / 24
         int y^2   = sum((y_i^2 + y_i y_{i+1} + y_{i+1}^2) ci) / 12
     """
-    x, y, xn, yn, c = _shoelace(polygon.vertices)
-    area = 0.5 * float(np.sum(c))
-    ix2 = float(np.sum((x * x + x * xn + xn * xn) * c)) / 12.0
-    ixy = float(np.sum((x * yn + 2.0 * x * y + 2.0 * xn * yn + xn * y) * c)) / 24.0
-    iy2 = float(np.sum((y * y + y * yn + yn * yn) * c)) / 12.0
+    # a sum that overflows is reported by ``moments``
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y, xn, yn, c = _shoelace(polygon.vertices)
+        area = 0.5 * float(np.sum(c))
+        ix2 = float(np.sum((x * x + x * xn + xn * xn) * c)) / 12.0
+        ixy = float(np.sum((x * yn + 2.0 * x * y + 2.0 * xn * yn + xn * y) * c)) / 24.0
+        iy2 = float(np.sum((y * y + y * yn + yn * yn) * c)) / 12.0
     return Moments(area=area, M0=iy2, M1=ixy, M2=ix2)
 
 
@@ -278,8 +288,7 @@ def moments(section: Section) -> Moments:
     else:
         raise UsageError(f"not a section: {section!r}")
     if not all(map(math.isfinite, (m.area, m.M0, m.M1, m.M2))):
-        raise GeometryError("section moments overflow: the section is too "
-                            "large for double precision")
+        raise GeometryError(_OVERFLOW)
     return m
 
 
@@ -444,13 +453,3 @@ def section_from_json(obj: dict) -> Section:
             raise UsageError("disc radius must be a number")
         return Disc(d["center"], d["radius"])
     raise UsageError('section JSON must have exactly one of "polygon", "disc"')
-
-
-def section_to_json(section: Section) -> dict:
-    if isinstance(section, Polygon):
-        return {"polygon": [[float(x), float(y)] for x, y in section.vertices]}
-    if isinstance(section, Disc):
-        return {"disc": {"center": [float(section.center[0]),
-                                    float(section.center[1])],
-                         "radius": float(section.radius)}}
-    raise UsageError(f"not a section: {section!r}")

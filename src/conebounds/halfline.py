@@ -34,25 +34,17 @@ from .errors import AccuracyWarning, DomainError, SolverError, UsageError
 from .geometry import Moments, Section, moments
 
 
-def _as_gauge_matrix(gauge) -> np.ndarray:
-    arr = np.asarray(gauge, dtype=float)
-    if arr.shape == (3, 3):
-        if np.any(arr[:, 2] != 0.0):
-            raise UsageError("gauge must not depend on x3")
-        arr = arr[:, :2]
-    if arr.shape != (3, 2) or not np.all(np.isfinite(arr)):
-        raise UsageError("gauge must be a 3x2 matrix acting on (x1, x2)")
-    return arr
-
-
 def lambda_from_gauge(gauge, section: Section | Moments) -> float:
     """Mean squared gauge ``||A||^2_{L2(w)} / |w|`` from exact moments.
 
     ``gauge`` is the 3x2 matrix of a linear, x3-independent vector
-    potential.  The zero gauge is rejected: it corresponds to no magnetic
-    field and the reduced problem below needs ``lam > 0``.
+    potential, as :func:`~conebounds.gauge.full_gauge` returns it.  The
+    zero gauge is rejected: it corresponds to no magnetic field and the
+    reduced problem below needs ``lam > 0``.
     """
-    arr = _as_gauge_matrix(gauge)
+    arr = np.asarray(gauge, dtype=float)
+    if arr.shape != (3, 2) or not np.all(np.isfinite(arr)):
+        raise UsageError("gauge must be a 3x2 matrix acting on (x1, x2)")
     m = section if isinstance(section, Moments) else moments(section)
     lam = m.linear_norm_sq(arr) / m.area
     if lam <= 0.0:

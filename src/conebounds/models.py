@@ -344,14 +344,15 @@ def _tangent_estimate(b: MagneticField, section: Polygon, eps: float,
     ends up to that much above the least Rayleigh-Ritz value over the
     faces.  The upper end is still an upper bound: the true least face
     value is ``sigma(theta_min)``, below its Rayleigh-Ritz value."""
-    if b.norm == 0.0:
+    norm = b.norm
+    if norm == 0.0:
         return EnergyEstimate(source="zero field", lower=0.0, upper=0.0)
     faces = cone_faces(section, eps)
-    thetas = np.arcsin(np.minimum(1.0, np.abs(faces @ b.as_array()) / b.norm))
+    thetas = np.arcsin(np.minimum(1.0, np.abs(faces @ b.as_array()) / norm))
     sigma = halfspace_sigma(float(thetas.min()))
     return EnergyEstimate(source=source + _SIGMA_SOURCE,
-                          lower=b.norm * min(sigma, c_floor),
-                          upper=b.norm * sigma)
+                          lower=norm * min(sigma, c_floor),
+                          upper=norm * sigma)
 
 
 def cylinder_energy(field, section: Section, c_floor: float) -> EnergyEstimate:
@@ -398,14 +399,13 @@ def essential_spectrum_limit(field, section: Section, epsilons,
 
 @dataclass(frozen=True)
 class ConcentrationVerdict:
-    """Outcome of the apex-vs-rest comparison at one sharpness ``eps``."""
+    """Outcome of the apex-vs-rest comparison at one sharpness ``eps``;
+    the threshold, the floor and degeneracy are read off the
+    :class:`ConcentrationThreshold` that gave it."""
 
     epsilon: float
-    epsilon_star: float
-    floor_used: float
     vertex_bound: float
     holds: bool
-    degenerate: bool = False
 
 
 class ConcentrationThreshold:
@@ -415,10 +415,10 @@ class ConcentrationThreshold:
     ``3 eps e(B, w)``) sits strictly below every non-apex tangent channel:
     interior ``|B|``, faces at least ``Theta_0 |B| > |B|/2``, edges at
     least ``c_floor |B|``.  Calling the object at a given ``eps`` returns
-    the verdict with both sides of the comparison.  Invariant under
-    rescaling of the field.  A zero ``e`` (zero field) makes the threshold
-    infinite; that is reported with ``degenerate=True`` rather than as an
-    error.
+    the verdict: the apex bound there and whether it is below the floor.
+    Invariant under rescaling of the field.  A zero ``e`` (zero field)
+    makes the threshold infinite; that is reported with ``degenerate=True``
+    rather than as an error.
     """
 
     def __init__(self, field, section: Section, c_floor: float) -> None:
@@ -436,10 +436,8 @@ class ConcentrationThreshold:
             raise DomainError("eps must be positive")
         vertex_bound = 3.0 * e * self.e
         holds = True if self.degenerate else vertex_bound < self.floor_used
-        return ConcentrationVerdict(
-            epsilon=e, epsilon_star=self.epsilon_star,
-            floor_used=self.floor_used, vertex_bound=vertex_bound,
-            holds=holds, degenerate=self.degenerate)
+        return ConcentrationVerdict(epsilon=e, vertex_bound=vertex_bound,
+                                    holds=holds)
 
 
 def concentration_threshold(field, section: Section,

@@ -49,19 +49,11 @@ import numpy as np
 from .errors import AccuracyError, DomainError, UsageError
 from .geometry import Disc, Polygon, Section, _cross, centroid
 
-#: Valid kinds for :func:`robin_model_energy`.
-ROBIN_MODEL_KINDS = ("halfSpace", "wedge")
 
-
-def robin_model_energy(kind: str, alpha: float | None = None) -> float:
-    """Exact Robin ground energies of the flat models (unit coupling)."""
-    if kind == "halfSpace":
-        return -1.0
-    if kind != "wedge":
-        raise UsageError(f"unknown robin model kind {kind!r}; "
-                         f"expected one of {ROBIN_MODEL_KINDS}")
-    if alpha is None:
-        raise UsageError("wedge energy needs an opening alpha")
+def robin_wedge_energy(alpha: float) -> float:
+    """Exact Robin ground energy of the wedge of opening ``alpha`` (unit
+    coupling): ``-1 / sin(alpha/2)^2`` up to ``pi``, then -1, the
+    half-space value."""
     a = float(alpha)
     if not (0.0 < a < 2.0 * math.pi):
         raise DomainError("wedge opening must lie in (0, 2*pi)")

@@ -208,7 +208,8 @@ def brute_force_gauge(m) -> TransverseGauge:
     mm = m if isinstance(m, Moments) else moments(m)
 
     def f(t) -> float:
-        return TransverseGauge(t[0], t[1], 1.0 + t[1], t[2]).norm_sq_over(mm)
+        return mm.linear_norm_sq(
+            TransverseGauge(t[0], t[1], 1.0 + t[1], t[2]).matrix)
 
     eye = np.eye(3)
     f0 = f(np.zeros(3))

@@ -22,7 +22,7 @@ from conebounds import (Disc, Polygon, TransverseGauge,
                         full_gauge, halfspace_sigma,
                         moments, optimal_transverse_gauge,
                         rayleigh_upper_bounds, robin_cone_upper_bound,
-                        robin_model_energy, robin_scaling_exponent,
+                        robin_scaling_exponent, robin_wedge_energy,
                         scale_section, spherical_vertex_opening, theta0,
                         theta0_detail, truncated_domain_edges,
                         BoundaryProfile)
@@ -102,12 +102,12 @@ def test_criterion_04_optimizer_equivalence():
         brute = brute_force_gauge(mm)
         worst_entry = max(worst_entry, float(np.max(np.abs(
             closed.matrix - brute.matrix))))
-        best = math.sqrt(closed.norm_sq_over(mm) / mm.area)
+        best = math.sqrt(mm.linear_norm_sq(closed.matrix) / mm.area)
         for _ in range(10):
             da, db, dd = rng.uniform(-0.5, 0.5, 3)
             pert = TransverseGauge(a=closed.a + da, b=closed.b + db,
                                    c=1.0 + closed.b + db, d=closed.d + dd)
-            norm = math.sqrt(pert.norm_sq_over(mm) / mm.area)
+            norm = math.sqrt(mm.linear_norm_sq(pert.matrix) / mm.area)
             worst_gap = max(worst_gap, best - norm)
     ok = worst_entry <= 1e-10 and worst_gap <= 1e-12
     check(4, ok, f"50 polygons: worst |closed - brute| entry "
@@ -286,10 +286,10 @@ def test_criterion_12_concentration_and_edges():
 
 
 def test_criterion_13_robin():
-    w_half = robin_model_energy("wedge", math.pi / 2.0)
+    w_half = robin_wedge_energy(math.pi / 2.0)
     exact_ok = (abs(w_half + 2.0) <= 2e-14
-                and robin_model_energy("wedge", math.pi) == -1.0
-                and robin_model_energy("wedge", 1.5 * math.pi) == -1.0)
+                and robin_wedge_energy(math.pi) == -1.0
+                and robin_wedge_energy(1.5 * math.pi) == -1.0)
     worst_quad = 0.0
     for alpha in (math.pi / 6.0, math.pi / 3.0, math.pi / 2.0):
         prof = BoundaryProfile.from_disc(

@@ -61,6 +61,38 @@ class TestCommands:
             [3.0 * e, 7.0 * e, 11.0 * e], rel=1e-14)
         assert "upper-bound" in report["result"]["provenance"]
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_field_scales(self, capsys, square_file, scale):
+        # |B| and e(B, w) are homogeneous of degree one and computed on the
+        # field scaled to unit size: a field of 1e-200 is not the zero
+        # field, and squaring one of 1e200 does not overflow
+        def result(command, field, *extra):
+            code, report = run_cli(capsys, [
+                command, "--section", square_file,
+                "--field", ",".join(map(repr, field)), *extra])
+            assert code == 0
+            return report["result"]
+
+        for unit in ((0.0, 0.0, 1.0), (1.0, 0.0, 1.0)):
+            field = tuple(scale * b for b in unit)
+            want, got = (result("bound", f) for f in (unit, field))
+            assert got["e"] == pytest.approx(scale * want["e"], rel=1e-15)
+            want, got = (result("concentrate", f, "--cfloor", "1",
+                                "--eps", "0.3") for f in (unit, field))
+            assert not got["degenerate"]
+            assert got["epsilonStar"] == pytest.approx(want["epsilonStar"],
+                                                       rel=1e-15)
+            assert got["verdict"]["holds"] == want["verdict"]["holds"]
+            want, got = (result("ess", f, "--eps", "0.5,0.1", "--cfloor",
+                                "0.5") for f in (unit, field))
+            for w, g in zip(want["rows"], got["rows"], strict=True):
+                assert g["source"] == w["source"] != "zero field"
+                for end in ("lower", "upper"):
+                    assert g[end] == pytest.approx(scale * w[end], rel=1e-12)
+        # on [-1, 1]^2 the axial field gives e = |B| / sqrt(6)
+        e = result("bound", (0.0, 0.0, 1e-200))["e"]
+        assert e == pytest.approx(1e-200 / math.sqrt(6.0), rel=1e-15)
+
     def test_envelope_fields(self, capsys, disc_file):
         code, report = run_cli(capsys, ["bound", "--section", disc_file,
                                         "--field", "0,0,1"])
@@ -345,7 +377,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("doc", [
         {"polygon": [[0, 0], [1e77, 0], [1e77, 1e77], [0, 1e77]]},
-        {"disc": {"center": [0, 0], "radius": 1e160}}])
+        {"disc": {"center": [0, 0], "radius": 1e160}},
+        # its shoelace area is inf: too large, not numerically zero
+        {"polygon": [[0, 0], [1e200, 0], [1e200, 1e200], [0, 1e200]]}])
     @pytest.mark.parametrize("command", [
         ["moments"], ["gauge"], ["bound", "--field", "0,0,1"],
         ["concentrate", "--field", "0,0,1", "--cfloor", "1", "--eps", "0.2"],
@@ -441,13 +475,6 @@ class TestExitCodes:
     def test_coarse_fd_fails_under_strict(self, capsys, warning_fd):
         code, report = run_cli(capsys, ["spectrum1d", "--lam", "1",
                                         "--method", "fd", "--strict"])
-        assert code == 4
-        assert report["warnings"]
-
-    def test_strict_env_var(self, capsys, monkeypatch, warning_fd):
-        monkeypatch.setenv("CONEBOUNDS_STRICT", "1")
-        code, report = run_cli(capsys, ["spectrum1d", "--lam", "1",
-                                        "--method", "fd"])
         assert code == 4
         assert report["warnings"]
 
@@ -755,8 +782,8 @@ class TestReportWriter:
         monkeypatch.chdir(tmp_path)
         seen = []
 
-        def spy(obj, indent=0):
-            text = dumps_report(obj, indent)
+        def spy(obj):
+            text = dumps_report(obj)
             seen.append((obj, text))
             return text
 
@@ -784,10 +811,12 @@ class TestReportWriter:
         {"rows": [{"eps": 0.5, "e": 1.25, "nested": {"k": [1, [2, [3]]]}}]},
         np.float64(np.nan), np.int16(3), "plain", 3, -1.5, None, True,
     ], ids=lambda o: type(o).__name__)
-    @pytest.mark.parametrize("indent", [0, 1, 3])
-    def test_edge_cases_match_the_reference(self, obj, indent):
-        assert dumps_report(obj, indent) == reference_dumps_report(obj,
-                                                                   indent)
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_edge_cases_match_the_reference(self, obj, depth):
+        # nested ``depth`` lists in, the closing brackets are indented
+        for _ in range(depth):
+            obj = [obj]
+        assert dumps_report(obj) == reference_dumps_report(obj)
 
     @pytest.mark.parametrize("obj", [
         object(), {1, 2}, [object()], {"x": object()},

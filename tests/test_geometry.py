@@ -9,8 +9,7 @@ import pytest
 from conebounds import (Disc, GeometryError, Polygon, UsageError, centroid,
                         cone_faces, disc_moments, e_constant, moments,
                         polygon_moments, scale_section, section_from_json,
-                        section_to_json, spherical_vertex_opening,
-                        truncated_domain_edges)
+                        spherical_vertex_opening, truncated_domain_edges)
 from conftest import (ScalarPolygon, project_P, projection_jacobian,
                       quad_moments, random_star_polygon, section_nodes)
 
@@ -274,7 +273,6 @@ class TestMomentInvariants:
                 assert getattr(ms, k) == pytest.approx(
                     eps ** 2 * getattr(m, k), rel=1e-13, abs=1e-16)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("section", [
         Polygon(1e77 * np.array([(0, 0), (1, 0), (1, 1), (0, 1)])),
         Disc((0.0, 0.0), 1e160)])
@@ -283,6 +281,11 @@ class TestMomentInvariants:
         # read from them would be nan
         with pytest.raises(GeometryError, match="moments overflow"):
             moments(section)
+
+    def test_side_1e200_square_is_an_overflow(self):
+        # its shoelace area is inf: too large, not numerically zero
+        with pytest.raises(GeometryError, match="moments overflow"):
+            Polygon(1e200 * np.array([(0, 0), (1, 0), (1, 1), (0, 1)]))
 
     def test_side_1e76_square_keeps_its_bound(self):
         # [0, s]^2 under the axial field: e = sqrt(7/96) s
@@ -557,17 +560,6 @@ class TestSphericalVertexOpening:
 
 
 class TestSectionJson:
-    def test_polygon_round_trip(self, unit_triangle):
-        doc = section_to_json(unit_triangle)
-        back = section_from_json(doc)
-        assert np.array_equal(back.vertices, unit_triangle.vertices)
-
-    def test_disc_round_trip(self):
-        disc = Disc((0.5, -0.25), 1.75)
-        back = section_from_json(section_to_json(disc))
-        assert np.array_equal(back.center, disc.center)
-        assert back.radius == disc.radius
-
     @pytest.mark.parametrize("doc", [
         {},
         {"polygon": [[0, 0], [1, 0], [0, 1]], "disc": {}},

@@ -485,10 +485,10 @@ class TestConcentrationThreshold:
         assert below.holds
         assert below.vertex_bound == pytest.approx(
             3.0 * (star / 2.0) * e_constant((0, 0, 1), unit_disc), rel=1e-14)
-        assert below.vertex_bound < below.floor_used
+        assert below.vertex_bound < thr.floor_used
         above = thr(2.0 * star)
         assert not above.holds
-        assert above.vertex_bound >= above.floor_used
+        assert above.vertex_bound >= thr.floor_used
 
     def test_holds_matches_direct_inequality(self, unit_triangle):
         thr = concentration_threshold((0.5, -0.2, 1.0), unit_triangle, 0.7)
@@ -502,8 +502,21 @@ class TestConcentrationThreshold:
         thr = concentration_threshold((0, 0, 0), unit_disc, 1.0)
         assert thr.degenerate
         assert thr.epsilon_star == math.inf
-        verdict = thr(0.5)
-        assert verdict.holds and verdict.degenerate
+        assert thr(0.5).holds
+
+    def test_power_of_two_field_scales_keep_eps_star(self, centered_square):
+        # |B| and e(B, w) are computed on the field scaled to unit size, so
+        # the square's eps* = 1/sqrt(6) holds bit for bit from 2^-1000 to
+        # 2^1000, far past where the squares of the field underflow or
+        # overflow
+        want = concentration_threshold((0, 0, 1), centered_square,
+                                       1.0).epsilon_star
+        assert want == pytest.approx(1.0 / math.sqrt(6.0), rel=1e-15)
+        for j in range(-1000, 1001, 8):
+            thr = concentration_threshold((0, 0, math.ldexp(1.0, j)),
+                                          centered_square, 1.0)
+            assert not thr.degenerate
+            assert thr.epsilon_star == want
 
     def test_bad_eps(self, unit_disc):
         thr = concentration_threshold((0, 0, 1), unit_disc, 1.0)

@@ -7,8 +7,8 @@ import pytest
 
 from conebounds import (BoundaryProfile, Disc, DomainError, Polygon,
                         UsageError, centroid, moments, robin_best_axis_bound,
-                        robin_cone_upper_bound, robin_model_energy,
-                        robin_scaling_exponent)
+                        robin_cone_upper_bound, robin_scaling_exponent,
+                        robin_wedge_energy)
 
 from conftest import quad_robin_bound, random_star_polygon
 
@@ -25,46 +25,35 @@ def circular_cone_section(alpha):
 
 
 class TestModelEnergies:
-    def test_half_space(self):
-        assert robin_model_energy("halfSpace") == -1.0
-
     def test_right_wedge(self):
         # -1/sin^2(pi/4) = -2
-        assert robin_model_energy("wedge", math.pi / 2.0) == pytest.approx(
+        assert robin_wedge_energy(math.pi / 2.0) == pytest.approx(
             -2.0, rel=1e-14)
 
     def test_flat_wedge_is_half_space(self):
-        assert robin_model_energy("wedge", math.pi) == -1.0
+        assert robin_wedge_energy(math.pi) == -1.0
 
     def test_reflex_branch_is_flat(self):
-        assert robin_model_energy("wedge", 1.5 * math.pi) == -1.0
-        assert robin_model_energy("wedge", 1.9 * math.pi) == -1.0
+        assert robin_wedge_energy(1.5 * math.pi) == -1.0
+        assert robin_wedge_energy(1.9 * math.pi) == -1.0
 
     def test_continuity_at_pi(self):
-        below = robin_model_energy("wedge", math.pi - 1e-7)
-        above = robin_model_energy("wedge", math.pi + 1e-7)
+        below = robin_wedge_energy(math.pi - 1e-7)
+        above = robin_wedge_energy(math.pi + 1e-7)
         assert below == pytest.approx(-1.0, abs=1e-6)
         assert above == -1.0
 
     def test_monotone_blowup_for_sharp_wedges(self):
         alphas = np.linspace(0.1, math.pi, 40)
-        vals = [robin_model_energy("wedge", a) for a in alphas]
+        vals = [robin_wedge_energy(a) for a in alphas]
         assert all(v <= -1.0 for v in vals)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-        assert robin_model_energy("wedge", 0.01) < -4e4
+        assert robin_wedge_energy(0.01) < -4e4
 
     def test_alpha_out_of_range(self):
         for bad in (0.0, -0.3, 2.0 * math.pi, 7.0):
             with pytest.raises(DomainError):
-                robin_model_energy("wedge", bad)
-
-    def test_unknown_kind(self):
-        with pytest.raises(UsageError):
-            robin_model_energy("cone", 1.0)
-
-    def test_wedge_needs_alpha(self):
-        with pytest.raises(UsageError):
-            robin_model_energy("wedge")
+                robin_wedge_energy(bad)
 
 
 class TestProfileConstruction:
