@@ -18,10 +18,10 @@ import math
 
 import numpy as np
 
-from conebounds import (Disc, Polygon, TransverseGauge, e_constant,
+from conebounds import (Disc, Polygon, TransverseGauge,
+                        circular_cone_asymptotics, e_constant,
                         min_transverse_norm_sq, moments,
-                        optimal_transverse_gauge, rayleigh_upper_bounds,
-                        reference_asymptotics)
+                        optimal_transverse_gauge, rayleigh_upper_bounds)
 
 # --- moments of three sections --------------------------------------------
 
@@ -94,6 +94,6 @@ for beta in (0.0, math.pi / 4, math.pi / 2):
     sec = Disc(center=(0.0, 0.0), radius=math.tan(alpha / 2))
     fld = (0.0, math.sin(beta), math.cos(beta))
     (_, b1), = rayleigh_upper_bounds(fld, sec, n_max=1).bounds
-    lim = reference_asymptotics("circularCone", alpha, beta=beta)
+    lim = circular_cone_asymptotics(alpha, beta=beta)
     print(f"  beta = {beta:5.3f}: bound/alpha = {b1 / alpha:.8f}, "
           f"limit/alpha = {lim / alpha:.8f}")

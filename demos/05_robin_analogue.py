@@ -37,7 +37,7 @@ print("(the 180-degree wedge is the half space, energy -1)")
 # bound must land on -1/sin^2(alpha/2) exactly.
 print("\ncircular cones: profile bound vs closed form")
 for alpha in (math.pi / 6, math.pi / 3, math.pi / 2):
-    prof = BoundaryProfile.from_disc(
+    prof = BoundaryProfile.from_section(
         Disc(center=(0.0, 0.0), radius=math.tan(alpha / 2.0)))
     got = robin_cone_upper_bound(prof)
     want = -1.0 / math.sin(alpha / 2.0) ** 2
@@ -57,7 +57,7 @@ for name, sec in (("square", square), ("triangle", tri)):
 
 # --- the eps^{-2} blow-up ----------------------------------------------------------
 
-small = BoundaryProfile.from_disc(Disc(center=(0.0, 0.0), radius=0.2))
+small = BoundaryProfile.from_section(Disc(center=(0.0, 0.0), radius=0.2))
 print("\nscaled small disc: eps, bound")
 for eps in (1.0, 0.5, 0.25, 0.1):
     print(f"  {eps:4.2f}  {robin_cone_upper_bound(small.scaled(eps)):12.4f}")

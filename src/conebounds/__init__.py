@@ -12,10 +12,10 @@ analogue of the construction for the attractive Robin Laplacian.
 
 from .errors import (AccuracyError, AccuracyWarning, ConeBoundsError,
                      DomainError, GeometryError, SolverError, UsageError)
-from .gauge import (BoundResult, MagneticField, TransverseGauge, e_constant,
-                    full_gauge, min_transverse_norm_sq,
-                    optimal_transverse_gauge, rayleigh_upper_bounds,
-                    reference_asymptotics)
+from .gauge import (BoundResult, MagneticField, TransverseGauge,
+                    circular_cone_asymptotics, e_constant, full_gauge,
+                    min_transverse_norm_sq, optimal_transverse_gauge,
+                    rayleigh_upper_bounds, sector_asymptotics)
 from .geometry import (Disc, Moments, Polygon, Section, centroid,
                        cone_faces, disc_moments, moments, polygon_moments,
                        scale_section, section_from_json,
@@ -37,8 +37,8 @@ __all__ = [
     "AccuracyError", "AccuracyWarning", "ConeBoundsError", "DomainError",
     "GeometryError", "SolverError", "UsageError",
     "BoundResult", "MagneticField", "TransverseGauge", "e_constant",
-    "full_gauge", "min_transverse_norm_sq", "optimal_transverse_gauge",
-    "rayleigh_upper_bounds", "reference_asymptotics",
+    "circular_cone_asymptotics", "full_gauge", "min_transverse_norm_sq",
+    "optimal_transverse_gauge", "rayleigh_upper_bounds", "sector_asymptotics",
     "Disc", "Moments", "Polygon", "Section", "centroid", "cone_faces",
     "disc_moments", "moments", "polygon_moments", "scale_section",
     "section_from_json", "spherical_vertex_opening",

@@ -247,10 +247,10 @@ _AXIS = Option("--axis", "axis", _floats("axis", "two"),
 # library through this module's globals, never through a stored reference.
 
 def _gauge(cfg: RunConfig) -> dict:
-    section = section_from_json(cfg.section)
-    g = optimal_transverse_gauge(section)
+    m = moments(section_from_json(cfg.section))
+    g = optimal_transverse_gauge(m)
     return {"gauge": [[g.a, g.b], [g.c, g.d]], "curl": g.curl,
-            "transverseNormSq": min_transverse_norm_sq(section)}
+            "transverseNormSq": min_transverse_norm_sq(m)}
 
 
 def _spectrum1d(cfg: RunConfig) -> dict:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .geometry import Moments, Section, moments
+from .geometry import Moments, Section, moments, scale_factor
 
 
 @dataclass(frozen=True)
@@ -173,10 +173,17 @@ class BoundResult:
                 "bounds": [[n, v] for n, v in self.bounds]}
 
 
+def _at_least_one(count, name: str) -> int:
+    """``count`` as an int, after checking that it is at least 1; otherwise
+    raises ``UsageError("<name> must be at least 1")``."""
+    if int(count) < 1:
+        raise UsageError(f"{name} must be at least 1")
+    return int(count)
+
+
 def rayleigh_upper_bounds(field, m: Moments | Section, n_max: int = 3) -> BoundResult:
     """Upper bounds ``E_n <= (4n - 1) e(B, w)`` for ``n = 1 .. n_max``."""
-    if int(n_max) < 1:
-        raise UsageError("n_max must be at least 1")
+    k = _at_least_one(n_max, "n_max")
     b = MagneticField.from_any(field)
     mm = _require_moments(m)
     e = e_constant(b, mm)
@@ -184,42 +191,30 @@ def rayleigh_upper_bounds(field, m: Moments | Section, n_max: int = 3) -> BoundR
         e=e,
         transverse_norm_sq=min_transverse_norm_sq(mm),
         gauge=optimal_transverse_gauge(mm),
-        bounds=tuple((n, (4 * n - 1) * e) for n in range(1, int(n_max) + 1)))
+        bounds=tuple((n, (4 * n - 1) * e) for n in range(1, k + 1)))
 
 
-#: Valid kinds for :func:`reference_asymptotics`.
-ASYMPTOTIC_KINDS = ("sector", "circularCone")
+def sector_asymptotics(alpha: float) -> float:
+    """Leading small-opening term of the plane sector of opening ``alpha``,
+    per unit field: ``alpha / sqrt(3)``.
 
-
-def reference_asymptotics(kind: str, alpha: float, *, beta: float = 0.0,
-                          n: int = 1, field_norm: float = 1.0) -> float:
-    """Leading small-opening term of the reference geometries.
-
-    ``sector``           plane sector of opening alpha:    |B| alpha / sqrt(3)
-                         (the leading term of the wedge of opening alpha
-                         too, for fields in its bisector plane or tangent
-                         to a face; a leading-order value, not a bound,
-                         so the essential-energy estimates do not use it)
-    ``circularCone``     circular cone of opening alpha, field at latitude
-                         beta from the axis plane, n-th eigenvalue:
-                         |B| sqrt(1 + sin^2 beta) * (4n - 1) alpha / 2^(5/2)
+    It is the leading term of the wedge of opening ``alpha`` too, for fields
+    in its bisector plane or tangent to a face; a leading-order value, not a
+    bound, so the essential-energy estimates do not use it.
     """
-    if kind not in ASYMPTOTIC_KINDS:
-        raise UsageError(f"unknown asymptotic kind {kind!r}; "
-                         f"expected one of {ASYMPTOTIC_KINDS}")
-    a = float(alpha)
-    if not (a > 0.0) or not math.isfinite(a):
-        raise DomainError("opening alpha must be positive")
-    bn = float(field_norm)
-    if bn < 0.0 or not math.isfinite(bn):
-        raise DomainError("field norm must be nonnegative")
+    return scale_factor(alpha, "opening alpha", DomainError) / math.sqrt(3.0)
+
+
+def circular_cone_asymptotics(alpha: float, *, beta: float = 0.0,
+                              n: int = 1) -> float:
+    """Leading small-opening term of the ``n``-th eigenvalue of the circular
+    cone of opening ``alpha``, per unit field, the field at latitude ``beta``
+    from the axis plane: ``sqrt(1 + sin^2 beta) (4n - 1) alpha / 2^(5/2)``.
+    """
+    a = scale_factor(alpha, "opening alpha", DomainError)
     bt = float(beta)
     if not math.isfinite(bt):
         raise DomainError("latitude beta must be finite")
-    if kind == "sector":
-        return bn * a / math.sqrt(3.0)
-    k = int(n)
-    if k < 1:
-        raise UsageError("n must be at least 1")
+    k = _at_least_one(n, "n")
     lat = math.sqrt(1.0 + math.sin(bt) ** 2)
-    return bn * lat * (4 * k - 1) * a / (2.0 ** 2.5)
+    return lat * (4 * k - 1) * a / (2.0 ** 2.5)

@@ -77,9 +77,10 @@ class Polygon:
     ------
     GeometryError
         Fewer than three vertices, coincident consecutive vertices
-        (within ``DEGENERACY_RTOL`` times the diameter), an area that
-        overflows (a section about 1e154 across), zero area, a zero-angle
-        spike, or a self-intersecting boundary.
+        (within ``DEGENERACY_RTOL`` times the diameter), a diameter too
+        large for the corner and crossing tests (``2 diam^2`` overflows,
+        about 9.5e153 across) or an area that overflows, zero area, a
+        zero-angle spike, or a self-intersecting boundary.
 
     Notes
     -----
@@ -98,9 +99,14 @@ class Polygon:
             raise GeometryError("polygon needs at least 3 plane vertices")
         if not np.all(np.isfinite(v)):
             raise GeometryError("polygon vertices must be finite")
-        diam = float(np.ptp(v, axis=0).max())
+        with np.errstate(over="ignore"):  # an inf diameter is refused below
+            diam = float(np.ptp(v, axis=0).max())
         if diam == 0.0:
             raise GeometryError("polygon has zero diameter")
+        # the corner and crossing tests subtract products of coordinate
+        # differences, each at most diam^2
+        if math.isinf(2.0 * diam * diam):
+            raise GeometryError(_OVERFLOW)
         tol = DEGENERACY_RTOL * diam
         edges = np.roll(v, -1, axis=0) - v
         if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= tol):
@@ -161,11 +167,8 @@ class Disc:
         c = np.asarray(center, dtype=float)
         if c.shape != (2,) or not np.all(np.isfinite(c)):
             raise GeometryError("disc centre must be a finite 2-vector")
-        r = float(radius)
-        if not math.isfinite(r) or r <= 0.0:
-            raise GeometryError("disc radius must be positive")
         self.center = c
-        self.radius = r
+        self.radius = scale_factor(radius, "disc radius")
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Disc(center={self.center.tolist()!r}, radius={self.radius!r})"
@@ -303,12 +306,14 @@ def centroid(section: Section) -> np.ndarray:
     return np.array([cx, cy])
 
 
-def scale_factor(eps: float) -> float:
-    """``eps`` as a float, after checking that it is a positive finite dilation."""
-    e = float(eps)
-    if not math.isfinite(e) or e <= 0.0:
-        raise GeometryError("scale factor must be positive")
-    return e
+def scale_factor(value, name="scale factor", error=GeometryError) -> float:
+    """``value`` as a float, after checking that it is a positive finite
+    number (a dilation, a radius, a coupling, an opening); otherwise raises
+    ``error("<name> must be positive")``."""
+    x = float(value)
+    if not (x > 0.0) or not math.isfinite(x):
+        raise error(f"{name} must be positive")
+    return x
 
 
 def scale_section(section: Section, eps: float) -> Section:

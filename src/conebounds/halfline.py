@@ -31,7 +31,8 @@ import warnings
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError, SolverError, UsageError
-from .geometry import Moments, Section, moments
+from .gauge import _at_least_one, _require_moments
+from .geometry import Moments, Section, scale_factor
 
 
 def lambda_from_gauge(gauge, section: Section | Moments) -> float:
@@ -45,20 +46,22 @@ def lambda_from_gauge(gauge, section: Section | Moments) -> float:
     arr = np.asarray(gauge, dtype=float)
     if arr.shape != (3, 2) or not np.all(np.isfinite(arr)):
         raise UsageError("gauge must be a 3x2 matrix acting on (x1, x2)")
-    m = section if isinstance(section, Moments) else moments(section)
+    m = _require_moments(section)
     lam = m.linear_norm_sq(arr) / m.area
     if lam <= 0.0:
         raise DomainError("zero gauge: lam must be positive")
     return lam
 
 
+def _checked(lam: float, n_max: int) -> tuple[float, int]:
+    """``lam`` and ``n_max`` as both spectra take them, checked."""
+    return scale_factor(lam, "lam", DomainError), _at_least_one(n_max, "n_max")
+
+
 def exact_reduced_spectrum(lam: float, n_max: int = 3) -> np.ndarray:
     """Eigenvalues ``sqrt(lam) * (4n - 1)``, ``n = 1 .. n_max`` (all simple)."""
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise DomainError("lam must be positive")
-    if int(n_max) < 1:
-        raise UsageError("n_max must be at least 1")
-    n = np.arange(1, int(n_max) + 1)
+    lam, k = _checked(lam, n_max)
+    n = np.arange(1, k + 1)
     return math.sqrt(lam) * (4.0 * n - 1.0)
 
 
@@ -78,12 +81,9 @@ def fd_halfline_spectrum(lam: float, n_max: int = 3) -> np.ndarray:
     """
     from scipy.linalg import eigh_tridiagonal
 
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise DomainError("lam must be positive")
-    if int(n_max) < 1:
-        raise UsageError("n_max must be at least 1")
+    lam, k = _checked(lam, n_max)
     n = 4000
-    if int(n_max) > n:
+    if k > n:
         raise UsageError("n_max exceeds the grid's interior points")
     h = 12.0 / (n + 1)
     x = h * np.arange(1, n + 1)
@@ -91,7 +91,7 @@ def fd_halfline_spectrum(lam: float, n_max: int = 3) -> np.ndarray:
     off = np.full(n - 1, -1.0 / h ** 2)
     try:
         vals = eigh_tridiagonal(diag, off, select="i",
-                                select_range=(0, int(n_max) - 1),
+                                select_range=(0, k - 1),
                                 eigvals_only=True)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"half-line eigensolve failed: {exc}") from exc

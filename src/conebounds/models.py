@@ -46,7 +46,8 @@ import numpy as np
 
 from .errors import DomainError, SolverError, UsageError
 from .gauge import MagneticField, e_constant
-from .geometry import Polygon, Section, _edge_openings, cone_faces, moments
+from .geometry import (Polygon, Section, _edge_openings, cone_faces, moments,
+                       scale_factor)
 
 
 @dataclass(frozen=True)
@@ -318,12 +319,16 @@ def _check_c_floor(c_floor: float) -> float:
     return c
 
 
+def _require_polygon(section: Section, what: str) -> None:
+    if not isinstance(section, Polygon):
+        raise UsageError(f"{what} need a polygonal section")
+
+
 def _checked_inputs(field, section: Section, c_floor: float,
                     what: str) -> tuple[MagneticField, float]:
     b = MagneticField.from_any(field)
     c = _check_c_floor(c_floor)
-    if not isinstance(section, Polygon):
-        raise UsageError(f"{what} estimates need a polygonal section")
+    _require_polygon(section, f"{what} estimates")
     return b, c
 
 
@@ -423,17 +428,19 @@ class ConcentrationThreshold:
 
     def __init__(self, field, section: Section, c_floor: float) -> None:
         b = MagneticField.from_any(field)
-        c = _check_c_floor(c_floor)
-        self.e = e_constant(b, moments(section))
-        self.floor_used = min(c, 0.5) * b.norm
+        c = min(_check_c_floor(c_floor), 0.5)
+        m = moments(section)
+        self.e = e_constant(b, m)
+        self.floor_used = c * b.norm
         self.degenerate = self.e == 0.0
+        # eps* is invariant under scaling of the field, so it is computed
+        # on the field scaled to unit size, where 3 e cannot overflow
+        unit = MagneticField(*b._scaled()[1:])
         self.epsilon_star = math.inf if self.degenerate \
-            else self.floor_used / (3.0 * self.e)
+            else c * unit.norm / (3.0 * e_constant(unit, m))
 
     def __call__(self, eps: float) -> ConcentrationVerdict:
-        e = float(eps)
-        if not (e > 0.0) or not math.isfinite(e):
-            raise DomainError("eps must be positive")
+        e = scale_factor(eps, "eps", DomainError)
         vertex_bound = 3.0 * e * self.e
         holds = True if self.degenerate else vertex_bound < self.floor_used
         return ConcentrationVerdict(epsilon=e, vertex_bound=vertex_bound,
@@ -468,11 +475,8 @@ class TruncatedEdgeReport:
 
 def truncated_domain_edges(section: Section, eps: float) -> TruncatedEdgeReport:
     """Openings of all edges of the truncated cone over ``eps * section``."""
-    if not isinstance(section, Polygon):
-        raise UsageError("edge reports need a polygonal section")
-    e = float(eps)
-    if not (e > 0.0) or not math.isfinite(e):
-        raise DomainError("eps must be positive")
+    _require_polygon(section, "edge reports")
+    e = scale_factor(eps, "eps", DomainError)
     faces = cone_faces(section, e)
     lateral = _edge_openings(section, faces, np.arange(section.n_vertices))
     # the cut plane's outward normal is +z, so the rim opening is

@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AccuracyError, DomainError, UsageError
-from .geometry import Disc, Polygon, Section, _cross, centroid
+from .geometry import Disc, Polygon, Section, _cross, centroid, scale_factor
 
 
 def robin_wedge_energy(alpha: float) -> float:
@@ -71,13 +71,6 @@ def _edge_support(vertices: np.ndarray, points: np.ndarray):
     return length, _cross(d, points[:, None, :] - vertices) / length
 
 
-def _axis(axis, default: np.ndarray) -> np.ndarray:
-    ax = default if axis is None else np.asarray(axis, dtype=float)
-    if ax.shape != (2,):
-        raise UsageError("axis must be a plane point")
-    return ax
-
-
 @dataclass(frozen=True, eq=False)
 class BoundaryProfile:
     """Support data of a section boundary about an axis point.
@@ -92,38 +85,32 @@ class BoundaryProfile:
     disc: bool = False
 
     @classmethod
-    def from_polygon(cls, polygon: Polygon, axis=None) -> "BoundaryProfile":
-        """Edge rows of a polygon about an axis point, by default the centroid.
+    def from_section(cls, section: Section, axis=None) -> "BoundaryProfile":
+        """Profile of a section about an axis point, by default the centroid.
 
-        The polygon is simple, so every ``h`` being positive is the same as
-        the axis lying strictly inside and the polygon being star-shaped
-        about it.
+        A polygon gives one row per edge.  It is simple, so every ``h``
+        being positive is the same as the axis lying strictly inside and the
+        polygon being star-shaped about it.  A disc gives its radius and
+        the axis offset; the axis must lie strictly inside.
         """
-        ax = _axis(axis, centroid(polygon))
-        length, (h,) = _edge_support(polygon.vertices, ax[None, :])
-        if not np.all(h > 1e-12 * np.abs(polygon.vertices - ax).max()):
+        if not isinstance(section, (Polygon, Disc)):
+            raise UsageError(f"not a section: {section!r}")
+        ax = centroid(section) if axis is None else np.asarray(axis, float)
+        if ax.shape != (2,):
+            raise UsageError("axis must be a plane point")
+        if isinstance(section, Disc):
+            off = section.center - ax
+            c = math.hypot(off[0], off[1])
+            r = section.radius
+            if not (c < r * (1.0 - 1e-12)):  # a NaN axis fails here too
+                raise DomainError("axis must lie strictly inside the disc")
+            return cls(np.array([[r, c]]), disc=True)
+        length, (h,) = _edge_support(section.vertices, ax[None, :])
+        if not np.all(h > 1e-12 * np.abs(section.vertices - ax).max()):
             raise DomainError(
                 "axis is not strictly inside, or section is not "
                 "star-shaped about it")
         return cls(np.column_stack([length, h]))
-
-    @classmethod
-    def from_disc(cls, disc: Disc, axis=None) -> "BoundaryProfile":
-        """Radius and axis offset of a disc; the axis defaults to the centre."""
-        off = disc.center - _axis(axis, disc.center)
-        c = math.hypot(off[0], off[1])
-        r = disc.radius
-        if not (c < r * (1.0 - 1e-12)):  # a NaN axis fails here too
-            raise DomainError("axis must lie strictly inside the disc")
-        return cls(np.array([[r, c]]), disc=True)
-
-    @classmethod
-    def from_section(cls, section: Section, axis=None) -> "BoundaryProfile":
-        if isinstance(section, Polygon):
-            return cls.from_polygon(section, axis=axis)
-        if isinstance(section, Disc):
-            return cls.from_disc(section, axis=axis)
-        raise UsageError(f"not a section: {section!r}")
 
     @property
     def method(self) -> str:
@@ -136,9 +123,7 @@ class BoundaryProfile:
 
     def scaled(self, eps: float) -> "BoundaryProfile":
         """Profile of the section dilated by ``eps`` about the axis."""
-        e = float(eps)
-        if not (e > 0.0) or not math.isfinite(e):
-            raise DomainError("eps must be positive")
+        e = scale_factor(eps, "eps", DomainError)
         return replace(self, pieces=e * self.pieces)
 
 
@@ -221,7 +206,7 @@ def robin_best_axis_bound(section: Section):
     affine in it, so over the kernel (the axes the section is star-shaped
     about) the least bound sits at a kernel vertex.  The kernel is the
     bounding box clipped by the inner half-plane of every edge.  A kernel
-    vertex is on the boundary, where :meth:`BoundaryProfile.from_polygon`
+    vertex is on the boundary, where :meth:`BoundaryProfile.from_section`
     refuses the axis; the bound there is the limit of the bounds of
     interior axes, so it is a valid bound too.  For a disc every rim point
     is optimal.  Returns ``(bound, axis)``.

@@ -292,12 +292,12 @@ def test_criterion_13_robin():
                 and robin_wedge_energy(1.5 * math.pi) == -1.0)
     worst_quad = 0.0
     for alpha in (math.pi / 6.0, math.pi / 3.0, math.pi / 2.0):
-        prof = BoundaryProfile.from_disc(
+        prof = BoundaryProfile.from_section(
             Disc(center=(0.0, 0.0), radius=math.tan(alpha / 2.0)))
         want = -1.0 / math.sin(alpha / 2.0) ** 2
         worst_quad = max(worst_quad,
                          abs(robin_cone_upper_bound(prof) - want) / -want)
-    small = BoundaryProfile.from_disc(Disc(center=(0.0, 0.0), radius=0.2))
+    small = BoundaryProfile.from_section(Disc(center=(0.0, 0.0), radius=0.2))
     expo = robin_scaling_exponent(small, (1.0, 0.5, 0.25, 0.1))
     ok = exact_ok and worst_quad <= 1e-10 and abs(expo + 2.0) <= 0.05
     check(13, ok, f"wedge branch values exact, disc quadrature off closed "

@@ -61,6 +61,22 @@ class TestCommands:
             [3.0 * e, 7.0 * e, 11.0 * e], rel=1e-14)
         assert "upper-bound" in report["result"]["provenance"]
 
+    def test_concentrate_at_the_top_of_the_float_range(self, capsys,
+                                                        square_file):
+        # on [-1,1]^2, eps* = 1/sqrt(10) for the field (1, 1, 1) at every
+        # scale; at 1e308, 3 e overflows, and eps* used to read 0
+        for eps, holds in (("0.2", True), ("0.4", False)):
+            code, report = run_cli(capsys, [
+                "concentrate", "--section", square_file,
+                "--field", "1e308,1e308,1e308", "--cfloor", "1",
+                "--eps", eps])
+            assert code == 0
+            result = report["result"]
+            want = 1.0 / math.sqrt(10.0)
+            assert abs(result["epsilonStar"] - want) <= 1e-15 * want
+            assert result["verdict"]["holds"] is holds
+            assert holds == (float(eps) < result["epsilonStar"])
+
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_extreme_field_scales(self, capsys, square_file, scale):
         # |B| and e(B, w) are homogeneous of degree one and computed on the

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conebounds import (Disc, DomainError, MagneticField, Polygon,
-                        TransverseGauge, UsageError, e_constant, full_gauge,
-                        min_transverse_norm_sq, moments,
-                        optimal_transverse_gauge, rayleigh_upper_bounds,
-                        reference_asymptotics, scale_section)
+                        TransverseGauge, UsageError, circular_cone_asymptotics,
+                        e_constant, full_gauge, min_transverse_norm_sq,
+                        moments, optimal_transverse_gauge,
+                        rayleigh_upper_bounds, scale_section,
+                        sector_asymptotics)
 from conftest import (brute_force_gauge, random_field, random_star_polygon,
                       section_nodes)
 
@@ -288,29 +289,29 @@ class TestRayleighUpperBounds:
 
 class TestReferenceAsymptotics:
     def test_sector_third_pi(self):
-        val = reference_asymptotics("sector", math.pi / 3.0)
+        val = sector_asymptotics(math.pi / 3.0)
         assert val == pytest.approx(math.pi / (3.0 * math.sqrt(3.0)),
                                     rel=1e-14)
         assert val == pytest.approx(0.604600, abs=5e-7)
 
     def test_sector_coefficient(self):
         alpha = 0.02
-        assert reference_asymptotics("sector", alpha) == pytest.approx(
+        assert sector_asymptotics(alpha) == pytest.approx(
             alpha / math.sqrt(3.0), rel=1e-14)
 
     @pytest.mark.parametrize("beta", [0.0, math.pi / 4, math.pi / 2])
     def test_circular_cone(self, beta):
         alpha = 0.01
-        val = reference_asymptotics("circularCone", alpha, beta=beta)
+        val = circular_cone_asymptotics(alpha, beta=beta)
         expected = (3.0 * math.sqrt(1.0 + math.sin(beta) ** 2)
                     * alpha / 2.0 ** 2.5)
         assert val == pytest.approx(expected, rel=1e-14)
 
     def test_circular_cone_nth_ladder(self):
         alpha = 0.05
-        first = reference_asymptotics("circularCone", alpha, n=1)
-        second = reference_asymptotics("circularCone", alpha, n=2)
-        assert first == reference_asymptotics("circularCone", alpha)
+        first = circular_cone_asymptotics(alpha, n=1)
+        second = circular_cone_asymptotics(alpha, n=2)
+        assert first == circular_cone_asymptotics(alpha)
         assert second / first == pytest.approx(7.0 / 3.0, rel=1e-14)
 
     def test_matches_small_disc_bound(self):
@@ -320,28 +321,22 @@ class TestReferenceAsymptotics:
         exact = rayleigh_upper_bounds(
             (0.0, math.sin(beta), math.cos(beta)),
             Disc((0, 0), r), 1).bounds[0][1]
-        lead = reference_asymptotics("circularCone", alpha, beta=beta)
+        lead = circular_cone_asymptotics(alpha, beta=beta)
         assert exact == pytest.approx(lead, rel=1e-5)
 
     def test_errors(self):
-        with pytest.raises(UsageError):
-            reference_asymptotics("pyramid", 0.1)
-        with pytest.raises(UsageError):
-            reference_asymptotics("wedge", 0.1)
-        with pytest.raises(DomainError):
-            reference_asymptotics("sector", -0.1)
-        with pytest.raises(DomainError):
-            reference_asymptotics("sector", 0.0)
-        with pytest.raises(UsageError):
-            reference_asymptotics("circularConeNth", 0.1)
-        with pytest.raises(UsageError):
-            reference_asymptotics("circularCone", 0.1, n=0)
+        for asymptotics in (sector_asymptotics, circular_cone_asymptotics):
+            with pytest.raises(DomainError):
+                asymptotics(-0.1)
+            with pytest.raises(DomainError):
+                asymptotics(0.0)
+        with pytest.raises(UsageError, match="^n must be at least 1$"):
+            circular_cone_asymptotics(0.1, n=0)
 
-    @pytest.mark.parametrize("kind", ["sector", "circularCone"])
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
-    def test_non_finite_latitude_is_a_domain_error(self, kind, beta):
-        with pytest.raises(DomainError, match="beta"):
-            reference_asymptotics(kind, 0.1, beta=beta)
+    def test_non_finite_latitude_is_a_domain_error(self, beta):
+        with pytest.raises(DomainError, match="^latitude beta must be finite$"):
+            circular_cone_asymptotics(0.1, beta=beta)
 
 
 class TestMagneticField:

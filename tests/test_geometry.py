@@ -6,10 +6,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conebounds import (Disc, GeometryError, Polygon, UsageError, centroid,
-                        cone_faces, disc_moments, e_constant, moments,
-                        polygon_moments, scale_section, section_from_json,
+from conebounds import (BoundaryProfile, Disc, DomainError, GeometryError,
+                        Polygon, UsageError, centroid,
+                        circular_cone_asymptotics, concentration_threshold,
+                        cone_faces, cylinder_energy, disc_moments, e_constant,
+                        essential_spectrum_limit, exact_reduced_spectrum,
+                        fd_halfline_spectrum, moments, polygon_moments,
+                        rayleigh_upper_bounds, scale_section,
+                        section_from_json, sector_asymptotics,
                         spherical_vertex_opening, truncated_domain_edges)
+from conebounds.cli import RunConfig, execute_config
 from conftest import (ScalarPolygon, project_P, projection_jacobian,
                       quad_moments, random_star_polygon, section_nodes)
 
@@ -287,6 +293,22 @@ class TestMomentInvariants:
         with pytest.raises(GeometryError, match="moments overflow"):
             Polygon(1e200 * np.array([(0, 0), (1, 0), (1, 1), (0, 1)]))
 
+    @pytest.mark.parametrize("vertices", [
+        [[0, 0], [1e157, 1e156], [0, 1e150]],
+        [[-1e308, 0], [1e308, 0], [0, 1e308]]])
+    def test_diameter_too_large_for_the_corner_tests(self, vertices):
+        # the first has a finite area, but the spike and crossing tests
+        # multiply coordinate differences of up to 1e157; the second spans
+        # more than the float range.  Both are rejected before anything
+        # overflows (no numpy warning)
+        with pytest.raises(GeometryError, match="^section moments overflow"):
+            Polygon(vertices)
+
+    def test_diameter_below_the_overflow_limit_builds(self):
+        # 2 diam^2 = 2e306 is finite
+        p = Polygon([[0, 0], [1e153, 1e152], [0, 1e150]])
+        assert p.n_vertices == 3
+
     def test_side_1e76_square_keeps_its_bound(self):
         # [0, s]^2 under the axial field: e = sqrt(7/96) s
         s = 1e76
@@ -313,6 +335,66 @@ class TestScaleSection:
             scale_section(unit_disc, 0.0)
         with pytest.raises(GeometryError):
             scale_section(unit_disc, -2.0)
+
+
+_SQUARE = Polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+_SQUARE_JSON = {"polygon": [[-1, -1], [1, -1], [1, 1], [-1, 1]]}
+_DISC = Disc((0.0, 0.0), 1.0)
+
+
+def _sweep_bound(eps):
+    return execute_config(RunConfig(
+        command="sweep.bound", section=_SQUARE_JSON,
+        field_components=(0.0, 0.0, 1.0), epsilons=(eps,)))
+
+
+class TestInputChecks:
+    """Every site of the positive-number rule, the count rule and the
+    polygon-only rule raises its own exception class and message."""
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda x: scale_section(_SQUARE, x), GeometryError,
+         "scale factor must be positive"),
+        (_sweep_bound, GeometryError, "scale factor must be positive"),
+        (lambda x: Disc((0.0, 0.0), x), GeometryError,
+         "disc radius must be positive"),
+        (lambda x: concentration_threshold((0, 0, 1), _SQUARE, 1.0)(x),
+         DomainError, "eps must be positive"),
+        (lambda x: truncated_domain_edges(_SQUARE, x), DomainError,
+         "eps must be positive"),
+        (lambda x: BoundaryProfile.from_section(_SQUARE).scaled(x),
+         DomainError, "eps must be positive"),
+        (exact_reduced_spectrum, DomainError, "lam must be positive"),
+        (fd_halfline_spectrum, DomainError, "lam must be positive"),
+        (sector_asymptotics, DomainError, "opening alpha must be positive"),
+        (circular_cone_asymptotics, DomainError,
+         "opening alpha must be positive"),
+    ])
+    def test_positive_number(self, call, error, message, value):
+        with pytest.raises(DomainError) as info:
+            call(value)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: rayleigh_upper_bounds((0, 0, 1), _SQUARE, 0),
+         "n_max must be at least 1"),
+        (lambda: exact_reduced_spectrum(1.0, 0), "n_max must be at least 1"),
+        (lambda: fd_halfline_spectrum(1.0, 0), "n_max must be at least 1"),
+        (lambda: circular_cone_asymptotics(0.1, n=0), "n must be at least 1"),
+        (lambda: cylinder_energy((0, 0, 1), _DISC, 0.5),
+         "cylinder estimates need a polygonal section"),
+        (lambda: essential_spectrum_limit((0, 0, 1), _DISC, [0.1], 0.5),
+         "essential spectrum estimates need a polygonal section"),
+        (lambda: truncated_domain_edges(_DISC, 0.1),
+         "edge reports need a polygonal section"),
+    ])
+    def test_count_and_polygon_only(self, call, message):
+        with pytest.raises(UsageError) as info:
+            call()
+        assert type(info.value) is UsageError
+        assert str(info.value) == message
 
 
 class TestCentroid:

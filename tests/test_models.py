@@ -518,6 +518,21 @@ class TestConcentrationThreshold:
             assert not thr.degenerate
             assert thr.epsilon_star == want
 
+    @pytest.mark.parametrize("base", [(1.5e7, -0.6e7, 1.2e7),
+                                      (5e-7, -3e-7, 4e-7),
+                                      (0.3, 0.8, -0.5)])
+    def test_eps_star_is_invariant_under_power_of_two_field_scales(
+            self, unit_triangle, base):
+        # eps* is computed on the field scaled to unit size, so it does not
+        # overflow (3 e past the float range) or lose bits (a subnormal e)
+        # when the field is scaled by 2^j; every 2^j B here is exact
+        want = concentration_threshold(base, unit_triangle, 0.7).epsilon_star
+        rng = np.random.default_rng(29)
+        for j in [-1000, 1000, *rng.integers(-1000, 1001, size=40)]:
+            field = [math.ldexp(b, int(j)) for b in base]
+            thr = concentration_threshold(field, unit_triangle, 0.7)
+            assert thr.epsilon_star == want
+
     def test_bad_eps(self, unit_disc):
         thr = concentration_threshold((0, 0, 1), unit_disc, 1.0)
         with pytest.raises(DomainError):

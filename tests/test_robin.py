@@ -59,19 +59,19 @@ class TestModelEnergies:
 class TestProfileConstruction:
     def test_centered_disc_profile_is_constant(self):
         # one (radius, offset) row; offset 0 is the constant polar profile
-        prof = BoundaryProfile.from_disc(Disc(center=(0.0, 0.0), radius=1.7))
+        prof = BoundaryProfile.from_section(Disc(center=(0.0, 0.0), radius=1.7))
         assert prof.disc
         assert prof.pieces.tolist() == [[1.7, 0.0]]
 
     def test_off_center_disc_profile(self):
         disc = Disc(center=(0.3, -0.1), radius=1.0)
-        prof = BoundaryProfile.from_disc(disc, axis=(0.0, 0.0))
+        prof = BoundaryProfile.from_section(disc, axis=(0.0, 0.0))
         (radius, offset), = prof.pieces
         assert radius == 1.0
         assert offset == pytest.approx(math.hypot(0.3, 0.1), rel=1e-15)
 
     def test_square_profile_has_one_piece_per_edge(self):
-        prof = BoundaryProfile.from_polygon(SQUARE)
+        prof = BoundaryProfile.from_section(SQUARE)
         assert not prof.disc
         assert prof.pieces.shape == (4, 2)
         assert prof.pieces[:, 0].sum() == pytest.approx(8.0, rel=1e-15)
@@ -79,9 +79,9 @@ class TestProfileConstruction:
     def test_square_profile_values(self):
         # about the centre every edge has length 2 at distance 1; the axis
         # (0.5, 0) moves the right edge closer and the left one away
-        prof = BoundaryProfile.from_polygon(SQUARE, axis=(0.0, 0.0))
+        prof = BoundaryProfile.from_section(SQUARE, axis=(0.0, 0.0))
         assert prof.pieces.tolist() == [[2.0, 1.0]] * 4
-        shifted = BoundaryProfile.from_polygon(SQUARE, axis=(0.5, 0.0))
+        shifted = BoundaryProfile.from_section(SQUARE, axis=(0.5, 0.0))
         assert np.allclose(shifted.pieces[:, 1], [1.0, 0.5, 1.0, 1.5],
                            rtol=1e-15)
 
@@ -89,7 +89,7 @@ class TestProfileConstruction:
         # each row's edge joins consecutive vertices: its length is their
         # distance and h the height of the triangle (centroid, v_i, v_i+1)
         tri = Polygon([(0.0, 0.0), (2.0, 0.0), (0.0, 1.0)])
-        prof = BoundaryProfile.from_polygon(tri)
+        prof = BoundaryProfile.from_section(tri)
         c = centroid(tri)
         for (length, h), p, q in zip(prof.pieces, tri.vertices,
                                      np.roll(tri.vertices, -1, axis=0)):
@@ -103,7 +103,7 @@ class TestProfileConstruction:
         rng = np.random.default_rng(11)
         for _ in range(10):
             poly = random_star_polygon(rng, n_vertices=7)
-            length, h = BoundaryProfile.from_polygon(poly).pieces.T
+            length, h = BoundaryProfile.from_section(poly).pieces.T
             assert np.all(h > 0.0)
             assert length @ h == pytest.approx(2.0 * moments(poly).area,
                                                rel=1e-13)
@@ -112,28 +112,28 @@ class TestProfileConstruction:
         # arrow: centroid sits outside the star-shaped kernel of the notch
         arrow = Polygon([(0.0, 0.0), (4.0, 0.0), (1.0, 1.0), (0.0, 4.0)])
         with pytest.raises(DomainError):
-            BoundaryProfile.from_polygon(arrow, axis=(2.0, 2.0))
+            BoundaryProfile.from_section(arrow, axis=(2.0, 2.0))
 
     def test_axis_on_polygon_vertex(self):
         square = Polygon([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
         with pytest.raises(DomainError):
-            BoundaryProfile.from_polygon(square, axis=(1.0, 1.0))
+            BoundaryProfile.from_section(square, axis=(1.0, 1.0))
 
     def test_axis_outside_polygon(self):
         square = Polygon([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
         with pytest.raises(DomainError):
-            BoundaryProfile.from_polygon(square, axis=(3.0, 0.0))
+            BoundaryProfile.from_section(square, axis=(3.0, 0.0))
 
     def test_disc_axis_on_or_outside_rim(self):
         disc = Disc(center=(0.0, 0.0), radius=1.0)
         for axis in ((1.0, 0.0), (1.5, 0.0)):
             with pytest.raises(DomainError):
-                BoundaryProfile.from_disc(disc, axis=axis)
+                BoundaryProfile.from_section(disc, axis=axis)
 
     def test_axis_shape_checked(self):
         square = Polygon([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
         with pytest.raises(UsageError):
-            BoundaryProfile.from_polygon(square, axis=(1.0, 2.0, 3.0))
+            BoundaryProfile.from_section(square, axis=(1.0, 2.0, 3.0))
 
     def test_from_section_dispatch(self):
         assert len(BoundaryProfile.from_section(
@@ -144,11 +144,11 @@ class TestProfileConstruction:
             BoundaryProfile.from_section("disc")
 
     def test_scaled_profile(self):
-        prof = BoundaryProfile.from_disc(Disc(center=(0.0, 0.0), radius=2.0))
+        prof = BoundaryProfile.from_section(Disc(center=(0.0, 0.0), radius=2.0))
         small = prof.scaled(0.25)
         assert small.disc
         assert small.pieces.tolist() == [[0.5, 0.0]]
-        tri = BoundaryProfile.from_polygon(TRIANGLE)
+        tri = BoundaryProfile.from_section(TRIANGLE)
         assert np.array_equal(tri.scaled(0.5).pieces, 0.5 * tri.pieces)
         with pytest.raises(DomainError):
             prof.scaled(0.0)
@@ -171,7 +171,7 @@ class TestConeUpperBound:
 
     def test_square_below_half_space(self):
         square = Polygon([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
-        bound = robin_cone_upper_bound(BoundaryProfile.from_polygon(square))
+        bound = robin_cone_upper_bound(BoundaryProfile.from_section(square))
         assert bound <= -1.0
 
     def test_always_below_half_space(self):
@@ -188,12 +188,12 @@ class TestConeUpperBound:
 
     def test_rotation_invariance(self):
         tri = Polygon([(0.0, 0.0), (2.0, 0.0), (0.0, 1.0)])
-        base = robin_cone_upper_bound(BoundaryProfile.from_polygon(tri))
+        base = robin_cone_upper_bound(BoundaryProfile.from_section(tri))
         for theta in (0.4, 1.9, 3.5):
             c, s = math.cos(theta), math.sin(theta)
             rot = Polygon([(c * x - s * y, s * x + c * y)
                            for x, y in [(0.0, 0.0), (2.0, 0.0), (0.0, 1.0)]])
-            val = robin_cone_upper_bound(BoundaryProfile.from_polygon(rot))
+            val = robin_cone_upper_bound(BoundaryProfile.from_section(rot))
             assert val == pytest.approx(base, rel=1e-12)
 
     def test_off_center_axis_same_disc(self):
@@ -202,15 +202,15 @@ class TestConeUpperBound:
         # improves (falls) away from the symmetric axis, since
         # oint sqrt(1 + h^2) ds is convex in the axis and even about the centre
         disc = Disc(center=(0.0, 0.0), radius=1.0)
-        centered = robin_cone_upper_bound(BoundaryProfile.from_disc(disc))
+        centered = robin_cone_upper_bound(BoundaryProfile.from_section(disc))
         shifted = robin_cone_upper_bound(
-            BoundaryProfile.from_disc(disc, axis=(0.4, 0.0)))
+            BoundaryProfile.from_section(disc, axis=(0.4, 0.0)))
         assert shifted <= -1.0
         assert centered == pytest.approx(-2.0, rel=1e-10)
         assert shifted <= centered + 1e-12
 
     def test_shrinking_sections_blow_up(self):
-        prof = BoundaryProfile.from_disc(Disc(center=(0.0, 0.0), radius=1.0))
+        prof = BoundaryProfile.from_section(Disc(center=(0.0, 0.0), radius=1.0))
         vals = [robin_cone_upper_bound(prof.scaled(eps))
                 for eps in (1.0, 0.5, 0.25)]
         assert vals[0] > vals[1] > vals[2]
@@ -254,13 +254,13 @@ class TestScalingExponent:
     def test_small_disc_ladder(self):
         # |bound(eps)| = 1 + 1/(eps*R)^2; R small keeps the additive 1
         # from polluting the slope
-        prof = BoundaryProfile.from_disc(Disc(center=(0.0, 0.0), radius=0.2))
+        prof = BoundaryProfile.from_section(Disc(center=(0.0, 0.0), radius=0.2))
         expo = robin_scaling_exponent(prof, [1.0, 0.5, 0.25, 0.1])
         assert expo == pytest.approx(-2.0, abs=0.05)
 
     def test_small_square_ladder(self):
         square = Polygon([(-0.2, -0.2), (0.2, -0.2), (0.2, 0.2), (-0.2, 0.2)])
-        prof = BoundaryProfile.from_polygon(square)
+        prof = BoundaryProfile.from_section(square)
         expo = robin_scaling_exponent(prof, [1.0, 0.5, 0.25, 0.1])
         assert expo == pytest.approx(-2.0, abs=0.1)
 
@@ -268,7 +268,7 @@ class TestScalingExponent:
         ladder = [1.0, 0.5, 0.25, 0.1]
         expos = []
         for radius in (1.0, 0.3, 0.1):
-            prof = BoundaryProfile.from_disc(
+            prof = BoundaryProfile.from_section(
                 Disc(center=(0.0, 0.0), radius=radius))
             expos.append(robin_scaling_exponent(prof, ladder))
         diffs = [abs(e + 2.0) for e in expos]
@@ -276,22 +276,22 @@ class TestScalingExponent:
         assert diffs[2] < 0.01
 
     def test_too_few_points(self):
-        prof = BoundaryProfile.from_disc(Disc(center=(0.0, 0.0), radius=0.2))
+        prof = BoundaryProfile.from_section(Disc(center=(0.0, 0.0), radius=0.2))
         with pytest.raises(UsageError):
             robin_scaling_exponent(prof, [1.0, 0.1])
 
     def test_degenerate_ladder(self):
-        prof = BoundaryProfile.from_disc(Disc(center=(0.0, 0.0), radius=0.2))
+        prof = BoundaryProfile.from_section(Disc(center=(0.0, 0.0), radius=0.2))
         with pytest.raises(UsageError):
             robin_scaling_exponent(prof, [1.0, 1.0, 1.0])
 
     def test_narrow_ladder(self):
-        prof = BoundaryProfile.from_disc(Disc(center=(0.0, 0.0), radius=0.2))
+        prof = BoundaryProfile.from_section(Disc(center=(0.0, 0.0), radius=0.2))
         with pytest.raises(UsageError):
             robin_scaling_exponent(prof, [1.0, 0.7, 0.5])
 
     def test_nonpositive_epsilon(self):
-        prof = BoundaryProfile.from_disc(Disc(center=(0.0, 0.0), radius=0.2))
+        prof = BoundaryProfile.from_section(Disc(center=(0.0, 0.0), radius=0.2))
         with pytest.raises(DomainError):
             robin_scaling_exponent(prof, [1.0, 0.5, -0.1])
 
@@ -323,7 +323,7 @@ class TestBestAxis:
             best, axis = robin_best_axis_bound(poly)
             assert np.asarray(axis).shape == (2,)
             centroid_bound = robin_cone_upper_bound(
-                BoundaryProfile.from_polygon(poly))
+                BoundaryProfile.from_section(poly))
             assert best <= centroid_bound + 1e-12
             assert best <= scan_bound(poly) + 1e-12
         # the arrow's centroid lies outside its kernel; the scan still holds
@@ -358,9 +358,9 @@ class TestBestAxis:
         assert best == pytest.approx(-2.2897, abs=1e-4)
         assert math.dist(axis, disc.center) == pytest.approx(1.0, rel=1e-15)
         inner = robin_cone_upper_bound(
-            BoundaryProfile.from_disc(disc, axis=(1.49, -0.2)))
+            BoundaryProfile.from_section(disc, axis=(1.49, -0.2)))
         assert best < inner < robin_cone_upper_bound(
-            BoundaryProfile.from_disc(disc))
+            BoundaryProfile.from_section(disc))
 
     def test_not_star_shaped(self):
         # a U: the inner sides of its two arms face each other
